@@ -203,32 +203,50 @@ class Series:
         return Series(i * self._coeffs[i] for i in range(1, self.order + 1))
 
     def compose(self, inner: "Series") -> "Series":
-        """Substitute `inner` (which must have zero constant term) into self."""
+        """Substitute `inner` (which must have zero constant term) into self.
+
+        Sums f_k * g**k over ascending powers of g = `inner`, each power one
+        ``__mul__`` from the last.  g**k starts at t**(k*v), v the valuation
+        of g, which ``__mul__`` skips, so this costs O(N**3) coefficient
+        products, about a third of Horner's rule; powers with k*v > N vanish
+        and are never formed.
+        """
         self._check_order(inner)
-        if inner._coeffs[0] != 0:
+        g = inner._coeffs
+        if g[0] != 0:
             raise ValueError("composition requires an inner series with zero constant term")
         n = self.order
-        acc = [self._coeffs[n]] + [_ZERO] * n
-        g = inner._coeffs
-        for i in range(n - 1, -1, -1):
-            # acc <- acc * inner + c_i, truncated at order n
-            out = [_ZERO] * (n + 1)
-            for a_idx, av in enumerate(acc):
-                if not av:
-                    continue
-                for b_idx in range(n - a_idx + 1):
-                    if g[b_idx]:
-                        out[a_idx + b_idx] += av * g[b_idx]
-            out[0] += self._coeffs[i]
-            acc = out
-        return Series(acc)
+        f = self._coeffs
+        out = [f[0]] + [_ZERO] * n
+        # valuation of g; n + 1 for g = 0 leaves only the constant term
+        val = next((i for i, c in enumerate(g) if c), n + 1)
+        power = Series.one(n)
+        for k in range(1, n // val + 1):
+            power = power * inner
+            if f[k]:
+                p = power._coeffs
+                for m in range(k * val, n + 1):
+                    if p[m]:
+                        out[m] += f[k] * p[m]
+        return Series(out)
 
     def revert(self) -> "Series":
         """Compositional inverse of a delta series.
 
-        Solves compose(self, result) = t coefficient by coefficient; the
-        Lagrange extraction formulas in :func:`lagrange_extract` provide an
-        independent cross-check of this computation.
+        Solves compose(self, h) = t one coefficient at a time.  With
+        pw[k][n] = [t**n] h**k, the coefficient of t**n (n >= 2) in f(h) is
+        f_1 h_n + sum_{k=2..n} f_k pw[k][n] = 0, and for k >= 2
+
+            pw[k][n] = sum_{i=1..n-k+1} h_i pw[k-1][n-i]
+
+        needs only h_1..h_{n-1}.  Filling the table one column n at a time
+        therefore gives h_n = -(sum_{k=2..n} f_k pw[k][n]) / f_1 in O(N**3)
+        coefficient products.
+
+        This route must stay independent of :meth:`compose`, ``__mul__`` and
+        :func:`lagrange_extract`: the round trip compose(f, h) = t and the
+        Lagrange formulas are the checks on it, and would stop checking
+        anything if they shared its code.
         """
         as_delta(self)
         n_max = self.order
@@ -236,8 +254,20 @@ class Series:
         inv_f1 = _ONE / f[1]
         h = [_ZERO] * (n_max + 1)
         h[1] = inv_f1
+        # pw[k] holds [t**m] h**k for m < n after column n - 1; pw[1] is h.
+        pw = [None, h] + [[_ZERO] * (n_max + 1) for _ in range(2, n_max + 1)]
         for n in range(2, n_max + 1):
-            h[n] = -_compose_coeff(f, h, n) * inv_f1
+            acc = _ZERO
+            for k in range(2, n + 1):
+                prev = pw[k - 1]
+                s = _ZERO
+                for i in range(1, n - k + 2):
+                    if h[i] and prev[n - i]:
+                        s += h[i] * prev[n - i]
+                pw[k][n] = s
+                if f[k] and s:
+                    acc += f[k] * s
+            h[n] = -acc * inv_f1
         return Series(h)
 
     # -- transcendental operations --------------------------------------------
@@ -334,24 +364,6 @@ class Series:
         if self.order >= 5:
             shown += ", ..."
         return f"Series([{shown}], order={self.order})"
-
-
-def _compose_coeff(f, h, n: int) -> Fraction:
-    """Coefficient of t**n in f(h(t)), with f, h given as coefficient lists."""
-    acc = [_ZERO] * (n + 1)
-    acc[0] = f[n] if n < len(f) else _ZERO
-    for i in range(n - 1, -1, -1):
-        out = [_ZERO] * (n + 1)
-        for a_idx in range(n + 1):
-            av = acc[a_idx]
-            if not av:
-                continue
-            for b_idx in range(n - a_idx + 1):
-                if h[b_idx]:
-                    out[a_idx + b_idx] += av * h[b_idx]
-        out[0] += f[i]
-        acc = out
-    return acc[n]
 
 
 def as_delta(f: Series) -> Series:

@@ -40,7 +40,7 @@ from .prob import (
     sj_moment,
 )
 from .randomvars import RandomVar, builtin_random_vars
-from .series import Series, lagrange_extract
+from .series import Series, _rat, lagrange_extract
 from .special import (
     Triangle,
     binom,
@@ -507,7 +507,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     them).  `moment_perturbation = (index, delta)` shifts one textbook-oracle
     moment and exists as a fault-injection hook for negative-control tests.
     """
-    lam = Fraction(lam)
+    lam = _rat(lam)
     mean = rv.mean()
     if mean == 0:
         raise ValueError(f"identity suite requires E[Y] != 0, got {rv.describe()}")
@@ -1130,7 +1130,7 @@ def _gamma_marsaglia_tsang(rng: np.random.Generator, shape: float, size: int) ->
 def mc_check(rv: RandomVar, lam, n: int, j: int, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of the degenerate falling-factorial moment of the
     j-fold i.i.d. sum, compared with the exact engine value as a z-score."""
-    lam = Fraction(lam)
+    lam = _rat(lam)
     if not rv.is_samplable:
         raise ValueError(f"{rv.describe()} is not samplable")
     if samples < 1000:

@@ -17,7 +17,7 @@ from probstirling.prob import (
     sj_moment,
 )
 from probstirling.randomvars import RandomVar, builtin_random_vars
-from probstirling.series import Series
+from probstirling.series import Series, lagrange_extract
 from probstirling.special import deg_exp, deg_log, falling_factorial, triangle
 from probstirling.verify import moment_oracle, stirling1_oracle
 
@@ -235,6 +235,17 @@ def test_log_coefficients_are_diagonal_bernoulli_numbers():
     for n in range(1, 7):
         bern = prob_order_numbers(rv, LAM, n, 0, "bernoulli", 6)
         assert pl.egf(n) == bern.egf(n - 1)
+
+
+@pytest.mark.parametrize("rv", [RandomVar.poisson(2), RandomVar.bernoulli(F(1, 2))])
+def test_log_matches_lagrange_extraction_at_order_30(rv):
+    # At lam = 1/2 the bernoulli moment series minus one is p(t + t^2/4), so
+    # every coefficient of f past t^2 is zero.
+    lam, n = F(1, 2), 30
+    pl = prob_log(rv, lam, n)
+    delta = bundle(rv, lam, n).delta
+    for m in range(1, n + 1):
+        assert pl.coeff(m) == lagrange_extract(None, delta, m, None, "C")
 
 
 # -- Schlomilch ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact series arithmetic, composition, reversion and the extraction oracle."""
 
+import math
 from fractions import Fraction as F
 from math import factorial
 
@@ -104,10 +105,30 @@ def test_compose_monomial():
 
 
 def test_compose_log_with_exp_minus_one():
-    t = Series.t(ORDER)
+    n = 24
+    t = Series.t(n)
     log1p = t.log1p()
-    exp_minus_one = t.exp() - Series.one(ORDER)
+    exp_minus_one = t.exp() - Series.one(n)
     assert log1p.compose(exp_minus_one) == t
+
+
+def test_compose_inner_of_valuation_two():
+    # (t^2 + t^5)^k = sum_j C(k, j) t^(2k + 3j), expanded by hand, so powers
+    # whose lowest term passes t^20 must drop out of the dense outer series.
+    n = 20
+    f = Series([F((-1) ** m * (m + 1), m + 2) for m in range(n + 1)])
+    inner = Series([0, 0, 1, 0, 0, 1] + [0] * (n - 5))
+    expected = [F(0)] * (n + 1)
+    expected[0] = f.coeff(0)
+    for k in range(1, n + 1):
+        for j in range(k + 1):
+            if 2 * k + 3 * j <= n:
+                expected[2 * k + 3 * j] += f.coeff(k) * math.comb(k, j)
+    assert f.compose(inner) == Series(expected)
+
+
+def test_compose_with_zero_inner_keeps_the_constant():
+    assert Series([3, 1, 2]).compose(Series.zero(2)) == Series.constant(3, 2)
 
 
 def test_compose_identity_substitution():
@@ -133,6 +154,15 @@ def test_revert_mobius():
     assert fbar == Series([0] + [(-1) ** (m - 1) for m in range(1, n + 1)])
     assert f.compose(fbar) == Series.t(n)
     assert fbar.compose(f) == Series.t(n)
+
+
+def test_revert_lambert_w_at_order_30():
+    # t e^t reverts to the Lambert W series, sum (-n)^(n-1) t^n / n!.
+    n = 30
+    f = Series.t(n) * Series.t(n).exp()
+    assert f.revert() == Series(
+        [0] + [F((-m) ** (m - 1), factorial(m)) for m in range(1, n + 1)]
+    )
 
 
 def test_revert_requires_delta():

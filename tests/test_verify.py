@@ -124,6 +124,11 @@ def test_perturbed_moment_fails_the_suite():
     assert any(r.identity == "mgf-vs-moments" for r in report.failures())
 
 
+def test_identity_suite_rejects_a_float_lambda():
+    with pytest.raises(TypeError):
+        identity_suite(RandomVar.poisson(2), 0.1, 3)
+
+
 def test_report_serialization():
     report = identity_suite(RandomVar.bernoulli(F(1, 2)), 0, 3)
     payload = report.to_dict()
@@ -177,6 +182,11 @@ def test_mc_rejects_bad_input():
         mc_check(RandomVar.custom([1, 1]), 0, 1, 1, 10_000, 0)
     with pytest.raises(ValueError):
         mc_check(RandomVar.poisson(2), 0, 1, 1, 10, 0)
+
+
+def test_mc_rejects_a_float_lambda():
+    with pytest.raises(TypeError):
+        mc_check(RandomVar.poisson(2), 0.5, 1, 1, 10_000, 0)
 
 
 def test_samplers_hit_their_means():
