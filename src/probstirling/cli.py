@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--nmax", type=int, default=8)
     p_verify.add_argument("--gammas", default=",".join(str(g) for g in DEFAULT_GAMMAS))
     p_verify.add_argument("--depth", type=int, default=60,
-                          help="truncation depth for infinite-sum closed forms")
+                          help="truncation depth (>= 10) for the negative-binomial "
+                               "closed forms, the only infinite ones")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_mc = sub.add_parser("mc", parents=[common], help="Monte Carlo cross-check")

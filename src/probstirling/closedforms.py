@@ -7,15 +7,17 @@ This module evaluates those formulas *literally*, without ever reverting a
 series, so they can serve as an independent check of the reversion-based
 engine in :mod:`probstirling.prob`.
 
-Most formulas are finite sums of rationals and are returned as exact
-`Fraction` values.  Four of them (gamma first kind; normal first kind and
-log; negative-binomial both kinds) contain infinite sums over an auxiliary
-index: those are evaluated as partial sums to a caller-chosen depth and
-returned as :class:`NumericResult`, with a stabilization flag instead of a
-convergence proof.  Partial sums are accumulated in exact rational
-arithmetic wherever the terms are rational; floating point only enters for
-the finitely many irrational scale factors of the negative-binomial first
-kind (and for the final comparison value).
+Every formula except the negative binomial's is a finite sum of rationals
+and is returned as an exact `Fraction`.  The gamma first kind and the normal
+first kind and log are printed with an infinite auxiliary sum, but every
+term past index n is exactly 0 (a finite difference of order above a
+polynomial's degree), so they are summed to n only.  The negative-binomial
+forms (both kinds) are genuinely infinite: they are evaluated as partial
+sums to a caller-chosen depth and returned as :class:`NumericResult`, with a
+stabilization flag instead of a convergence proof.  Their partial sums are
+accumulated in exact rational arithmetic; floating point only enters for the
+irrational scale factors of the first kind (and for the final comparison
+value).
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Union
 
 from .randomvars import RandomVar
-from .series import Series
+from .series import Scalar, Series, _rat
 from .special import (
     binom,
     deg_log,
@@ -40,7 +41,6 @@ from .special import (
 
 __all__ = ["NumericResult", "closed_form", "uniform_first_kind"]
 
-Scalar = Union[Fraction, int]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -48,6 +48,12 @@ _NAMED = (
     "bernoulli", "binomial", "poisson", "exponential", "gamma",
     "geometric", "normal", "negbinomial", "uniform01",
 )
+
+
+# movement of the partial sums over five depth steps below this (relative)
+# level implies a remaining tail far inside the 1e-9 comparison tolerance
+# for the geometric-rate sums handled here
+_STABILIZATION_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -63,13 +69,13 @@ class NumericResult:
     depth: int
     stabilized: bool
 
-
-def _rat(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {value!r}")
+    @classmethod
+    def from_partials(cls, full: Fraction | float, short: Fraction | float,
+                      depth: int) -> "NumericResult":
+        """Result for partial sums at `depth` (full) and `depth - 5` (short)."""
+        full, short = float(full), float(short)
+        stabilized = abs(full - short) <= _STABILIZATION_RTOL * max(1.0, abs(full))
+        return cls(full, depth, stabilized)
 
 
 # ---------------------------------------------------------------------------
@@ -84,36 +90,6 @@ def _tab(family: str, lam: Fraction, need: int):
 @lru_cache(maxsize=None)
 def _fe_series(lam: Fraction, r: int, u: Fraction, order: int) -> Series:
     return frobenius_euler(lam, r, u, order)
-
-
-@lru_cache(maxsize=None)
-def _s1lam_columns(lam: Fraction, nmax: int, kmax: int) -> tuple:
-    """Columns 0..kmax of the degenerate first-kind triangle, rows to nmax."""
-    base = deg_log(lam, nmax)
-    cols = []
-    power = Series.one(nmax)
-    for k in range(kmax + 1):
-        if k:
-            power = power * base
-        kf = factorial(k)
-        cols.append(tuple(power.egf(m) / kf for m in range(nmax + 1)))
-    return tuple(cols)
-
-
-# movement of the partial sums over five depth steps below this (relative)
-# level implies a remaining tail far inside the 1e-9 comparison tolerance
-# for the geometric-rate sums handled here
-_STABILIZATION_RTOL = 1e-11
-
-
-def _numeric(fn, depth: int) -> NumericResult:
-    """Evaluate fn at `depth` and `depth - 5` and flag stabilization."""
-    if depth < 10:
-        raise ValueError("truncation depth must be >= 10")
-    full = float(fn(depth))
-    short = float(fn(depth - 5))
-    stabilized = abs(full - short) <= _STABILIZATION_RTOL * max(1.0, abs(full))
-    return NumericResult(full, depth, stabilized)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +179,7 @@ def _s2_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
                 )
         return total
     if kind == "negbinomial":
-        return _numeric(
-            lambda d: _nb_s2_partial(rv.param("p"), int(rv.param("r")), lam, n, k, d),
-            depth,
-        )
+        return _nb_s2(rv.param("p"), int(rv.param("r")), lam, n, k, depth)
     if kind == "uniform01":
         s2c, s1c = _tab("s2", _ZERO, 2 * n), _tab("s1", _ZERO, n)
         total = _ZERO
@@ -268,8 +241,7 @@ def _s1_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
             )
         return total
     if kind == "gamma":
-        alpha, beta = rv.param("alpha"), rv.param("beta")
-        return _numeric(lambda d: _gamma_s1_partial(alpha, beta, lam, n, k, d), depth)
+        return _gamma_s1(rv.param("alpha"), rv.param("beta"), lam, n, k)
     if kind == "geometric":
         p = rv.param("p")
         lah, s1l = _tab("lah", _ZERO, n), _tab("s1", lam, n)
@@ -283,13 +255,9 @@ def _s1_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
     if kind == "normal":
         if lam == 0:
             raise ValueError("the printed normal first-kind formula needs lam != 0")
-        mu, sigma2 = rv.param("mu"), rv.param("sigma2")
-        return _numeric(
-            lambda d: _normal_s1_partial(mu, sigma2, lam, n, k, d), depth
-        )
+        return _normal_s1(rv.param("mu"), rv.param("sigma2"), lam, n, k)
     if kind == "negbinomial":
-        p, r = rv.param("p"), int(rv.param("r"))
-        return _numeric(lambda d: _nb_s1_partial(p, r, lam, n, k, d), depth)
+        return _nb_s1(rv.param("p"), int(rv.param("r")), lam, n, k, depth)
     if kind == "uniform01":
         return uniform_first_kind(lam, n, k)
     raise ValueError(f"no first-kind closed form for {kind!r}")
@@ -346,15 +314,14 @@ def _log_series(rv: RandomVar, lam: Fraction, order: int) -> Series:
     raise ValueError(f"no exact log pipeline for {kind!r}")
 
 
-def _log_value(rv: RandomVar, lam: Fraction, n: int, depth: int):
+def _log_value(rv: RandomVar, lam: Fraction, n: int) -> Fraction:
     if n == 0:
         return _ZERO
     kind = rv.kind
     if kind == "normal":
         if lam == 0:
             raise ValueError("the printed normal log formula needs lam != 0")
-        mu, sigma2 = rv.param("mu"), rv.param("sigma2")
-        return _numeric(lambda d: _normal_log_partial(mu, sigma2, lam, n, d), depth)
+        return _normal_log(rv.param("mu"), rv.param("sigma2"), lam, n)
     if kind == "uniform01":
         return uniform_first_kind(lam, n, 1)
     order = max(8, ((n + 7) // 8) * 8)
@@ -362,7 +329,7 @@ def _log_value(rv: RandomVar, lam: Fraction, n: int, depth: int):
 
 
 # ---------------------------------------------------------------------------
-# Infinite-sum partials (exact rational unless noted)
+# Gamma and normal: printed as infinite sums, exactly 0 past index n
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -374,12 +341,13 @@ def _gamma_inner(alpha: Fraction, n: int, l: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
-def _gamma_s1_partial(alpha: Fraction, beta: Fraction, lam: Fraction,
-                      n: int, k: int, depth: int) -> Fraction:
-    s2c = _tab("s2", _ZERO, depth)
+def _gamma_s1(alpha: Fraction, beta: Fraction, lam: Fraction,
+              n: int, k: int) -> Fraction:
+    # _gamma_inner(alpha, n, l) is the l-th finite difference of the degree-n
+    # polynomial j -> (-j/alpha)_n, hence 0 for every l > n
+    s2c = _tab("s2", _ZERO, n)
     total = _ZERO
-    for l in range(k, depth + 1):
+    for l in range(k, n + 1):
         s2v = s2c.value(l, k)
         if not s2v:
             continue
@@ -405,11 +373,13 @@ def _normal_v(j: int, m: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _normal_w(mu: Fraction, sigma2: Fraction, lam: Fraction,
-              k: int, m: int, depth: int) -> Fraction:
+              k: int, m: int) -> Fraction:
+    # _normal_v(j, m) is the j-th finite difference of the degree-m polynomial
+    # l -> (l/2)_m, hence 0 for every j > m
     ratio = lam * mu / sigma2
-    s2c = _tab("s2", _ZERO, depth)
+    s2c = _tab("s2", _ZERO, m)
     total = _ZERO
-    for j in range(k, depth + 1):
+    for j in range(k, m + 1):
         s2v = s2c.value(j, k)
         if not s2v:
             continue
@@ -418,39 +388,42 @@ def _normal_w(mu: Fraction, sigma2: Fraction, lam: Fraction,
     return total
 
 
-def _normal_s1_partial(mu: Fraction, sigma2: Fraction, lam: Fraction,
-                       n: int, k: int, depth: int) -> Fraction:
+def _normal_s1(mu: Fraction, sigma2: Fraction, lam: Fraction,
+               n: int, k: int) -> Fraction:
     s1c = _tab("s1", _ZERO, n)
     total = _ZERO
     for m in range(n + 1):
         s1v = s1c.value(n, m)
         if not s1v:
             continue
-        total += (
-            s1v * 2**m * (sigma2 / mu**2) ** m * _normal_w(mu, sigma2, lam, k, m, depth)
-        )
+        total += s1v * 2**m * (sigma2 / mu**2) ** m * _normal_w(mu, sigma2, lam, k, m)
     return total / lam**k
 
 
-def _normal_log_partial(mu: Fraction, sigma2: Fraction, lam: Fraction,
-                        n: int, depth: int) -> Fraction:
+def _normal_log(mu: Fraction, sigma2: Fraction, lam: Fraction, n: int) -> Fraction:
+    # the m = 0 term (an infinite sum) is multiplied by s1(n, 0) = 0 for n >= 1,
+    # and for m >= 1 _normal_v(j, m) = 0 past j = m, as in _normal_w
     ratio = lam * mu / sigma2
     s1c = _tab("s1", _ZERO, n)
     total = _ZERO
-    for m in range(n + 1):
+    for m in range(1, n + 1):
         s1v = s1c.value(n, m)
         if not s1v:
             continue
         u = _ZERO
-        for j in range(1, depth + 1):
-            v1 = _normal_v(j, m) - (_ONE if m == 0 else _ZERO)  # drop the l = 0 term
-            if not v1:
+        for j in range(1, m + 1):
+            v = _normal_v(j, m)
+            if not v:
                 continue
-            term = ratio**j * v1 / factorial(j)
+            term = ratio**j * v / factorial(j)
             u += -term if j % 2 else term
         total += s1v * 2**m * (sigma2 / mu**2) ** m * u
     return total / lam
 
+
+# ---------------------------------------------------------------------------
+# Negative binomial: genuinely infinite, partial sums at depth - 5 and depth
+# ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _nb_inner2(p: Fraction, r: int, k: int, m: int) -> Fraction:
@@ -464,8 +437,8 @@ def _nb_inner2(p: Fraction, r: int, k: int, m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _nb_ak(p: Fraction, r: int, k: int, j: int, depth: int) -> Fraction:
-    s1c = _tab("s1", _ZERO, depth)
+def _nb_ak(p: Fraction, r: int, k: int, j: int) -> Fraction:
+    s1c = _tab("s1", _ZERO, j)
     total = _ZERO
     for m in range(j + 1):
         s1v = s1c.value(j, m)
@@ -474,47 +447,66 @@ def _nb_ak(p: Fraction, r: int, k: int, j: int, depth: int) -> Fraction:
     return total
 
 
-def _nb_s2_partial(p: Fraction, r: int, lam: Fraction,
-                   n: int, k: int, depth: int) -> Fraction:
-    total = _ZERO
+def _nb_s2(p: Fraction, r: int, lam: Fraction,
+           n: int, k: int, depth: int) -> NumericResult:
+    """Exact partial sums to depth and to depth - 5, in one pass."""
+    total = short = _ZERO
     for j in range(depth + 1):
-        a = _nb_ak(p, r, k, j, ((depth + 29) // 30) * 30)
+        a = _nb_ak(p, r, k, j)
         if a:
             total += (p - 1) ** j * falling_factorial(j, n, lam) * a / factorial(j)
-    return total
+        if j == depth - 5:
+            short = total
+    return NumericResult.from_partials(total, short, depth)
 
 
 @lru_cache(maxsize=None)
-def _nb_s1_inner(p: Fraction, r: int, lam: Fraction,
-                 n: int, l: int, kmax: int, depth: int) -> Fraction:
-    cols = _s1lam_columns(lam, ((depth + 29) // 30) * 30, kmax)
-    total = _ZERO
-    for m in range(l, depth + 1):
-        s1v = cols[l][m]
-        if not s1v:
-            continue
-        term = (
-            p**m * falling_factorial(Fraction(-m, r), n, 1) * s1v / factorial(m)
-        )
-        total += -term if m % 2 else term
-    return total
+def _deg_log_power(lam: Fraction, nmax: int, l: int) -> Series:
+    """deg_log(lam)**l to order nmax, built from the (l-1)-th power."""
+    if l == 0:
+        return Series.one(nmax)
+    if l == 1:
+        return deg_log(lam, nmax)
+    return _deg_log_power(lam, nmax, l - 1) * _deg_log_power(lam, nmax, 1)
 
 
-def _nb_s1_partial(p: Fraction, r: int, lam: Fraction,
-                   n: int, k: int, depth: int) -> float:
+@lru_cache(maxsize=None)
+def _nb_s1_inners(p: Fraction, r: int, lam: Fraction, n: int, depth: int) -> tuple:
+    """For l = 0..n, the exact inner sums over m to depth and to depth - 5."""
+    nmax = ((depth + 29) // 30) * 30  # one power table for nearby depths
+    signed = [
+        (-p) ** m * falling_factorial(Fraction(-m, r), n, 1) / factorial(m)
+        for m in range(depth + 1)
+    ]
+    out = []
+    for l in range(n + 1):
+        power, lf = _deg_log_power(lam, nmax, l), factorial(l)
+        total = short = _ZERO
+        for m in range(l, depth + 1):
+            s1v = power.egf(m) / lf
+            if s1v:
+                total += signed[m] * s1v
+            if m == depth - 5:
+                short = total
+        out.append((total, short))
+    return tuple(out)
+
+
+def _nb_s1(p: Fraction, r: int, lam: Fraction,
+           n: int, k: int, depth: int) -> NumericResult:
     # The scale factors (1/(1-p))**(lam l) and log_lam(1/(1-p))**(k-l) are
-    # irrational for fractional lam, so this partial sum is a float.
+    # irrational for fractional lam, so these partial sums are floats.
     q = 1 / (1 - p)
     qf, lamf = float(q), float(lam)
     log_lam_q = math.log(qf) if lam == 0 else (qf**lamf - 1.0) / lamf
-    total = 0.0
+    inners = _nb_s1_inners(p, r, lam, n, depth)
+    total = short = 0.0
     for l in range(k + 1):
-        inner = _nb_s1_inner(p, r, lam, n, l, k, depth)
-        if not inner:
-            continue
         scale = qf ** (lamf * l) * log_lam_q ** (k - l) / factorial(k - l)
+        inner, inner_short = inners[l]
         total += float(inner) * scale
-    return total
+        short += float(inner_short) * scale
+    return NumericResult.from_partials(total, short, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -583,17 +575,20 @@ def closed_form(rv: RandomVar, lam: Scalar, family: str, n: int, k: int = 0,
     """Evaluate the printed closed form for one triangle entry or log coefficient.
 
     family "s2" / "s1": value at (n, k).  family "log": EGF coefficient at n
-    (k is ignored).  Finite formulas return an exact Fraction; formulas with
-    an infinite auxiliary sum return a :class:`NumericResult` truncated at
-    `depth`.
+    (k is ignored).  Finite formulas return an exact Fraction; the
+    negative-binomial first and second kinds, whose auxiliary sum is
+    infinite, return a :class:`NumericResult` truncated at `depth`.  `depth`
+    must be >= 10 for every distribution, whether or not it is used.
     """
     lam = _rat(lam)
+    if depth < 10:
+        raise ValueError("truncation depth must be >= 10")
     if rv.kind not in _NAMED:
         raise ValueError(f"no closed forms for {rv.kind!r} (named distributions only)")
     if n < 0:
         raise ValueError("n must be >= 0")
     if family == "log":
-        return _log_value(rv, lam, n, depth)
+        return _log_value(rv, lam, n)
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     if family == "s2":

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
 from .randomvars import RandomVar
-from .series import Series, as_delta
+from .series import Scalar, Series, _rat, as_delta
 from .special import Triangle, binom, deg_exp, log_deg_exp, triangle, triangle_from_base
 
 __all__ = [
@@ -41,17 +40,8 @@ __all__ = [
     "schlomilch_sum",
 ]
 
-Scalar = Union[Fraction, int]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _rat(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

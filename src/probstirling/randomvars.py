@@ -11,25 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
+
+from .series import Scalar, _rat
 
 __all__ = ["RandomVar", "builtin_random_vars"]
-
-Scalar = Union[Fraction, int]
 
 SAMPLABLE_KINDS = (
     "bernoulli", "binomial", "poisson", "exponential", "gamma",
     "geometric", "normal", "negbinomial", "uniform01", "pointmass",
 )
 ALL_KINDS = SAMPLABLE_KINDS + ("custom",)
-
-
-def _rat(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational parameter, got {value!r}")
 
 
 def _require(condition: bool, message: str) -> None:

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
-from .series import Series, Scalar
+from .series import Series, Scalar, _rat
 
 __all__ = [
     "Triangle",
@@ -47,19 +47,18 @@ _ONE = Fraction(1)
 TRIANGLE_FAMILIES = ("s1", "s2", "lah", "h", "g")
 
 
-def _rat(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {value!r}")
-
-
 def binom(top: Scalar, k: int) -> Fraction:
     """Generalized binomial coefficient C(top, k), zero for k < 0."""
     if k < 0:
         return _ZERO
     top = _rat(top)
+    if top.denominator == 1:
+        m = top.numerator
+        if m >= 0:
+            return Fraction(comb(m, k))
+        # C(m, k) = (-1)^k C(k - m - 1, k) for a negative integer m
+        c = comb(k - m - 1, k)
+        return Fraction(-c if k % 2 else c)
     num = _ONE
     for i in range(k):
         num *= top - i

@@ -11,10 +11,11 @@ Three layers live here:
   semantics statistically.  Samplers are built from PCG64 uniform draws
   only, so results are reproducible bit for bit for a fixed seed.
 
-Exact identities are compared rationally; the finitely-truncated numeric
-closed forms are compared within 1e-9 relative tolerance and report
-"inconclusive" (never "fail") when their partial sums have not stabilized
-at the configured depth.
+Exact identities are compared rationally, and so are the closed forms of
+every distribution except the negative binomial.  Its two truncated numeric
+closed forms (first and second kind) are compared within 1e-9 relative
+tolerance and report "inconclusive" (never "fail") when their partial sums
+have not stabilized at the configured depth.
 """
 
 from __future__ import annotations
@@ -490,8 +491,7 @@ def _uniform_divided_power_pairs(lam: Fraction, nmax: int, t1: Triangle):
             yield (n, k), lhs, rhs
 
 
-_FINITE_S1 = ("bernoulli", "binomial", "poisson", "exponential", "geometric", "uniform01")
-_FINITE_S2 = (
+_EXACT_CLOSED_FORMS = (
     "bernoulli", "binomial", "poisson", "exponential", "gamma", "geometric",
     "normal", "uniform01",
 )
@@ -504,10 +504,13 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     """Run every supported identity for one (rv, lam) configuration.
 
     `gammas` must be integers (poles are skipped where an identity excludes
-    them).  `moment_perturbation = (index, delta)` shifts one textbook-oracle
-    moment and exists as a fault-injection hook for negative-control tests.
+    them).  `depth` (>= 10) truncates the negative-binomial closed forms.
+    `moment_perturbation = (index, delta)` shifts one textbook-oracle moment
+    and exists as a fault-injection hook for negative-control tests.
     """
     lam = _rat(lam)
+    if depth < 10:
+        raise ValueError("truncation depth must be >= 10")
     mean = rv.mean()
     if mean == 0:
         raise ValueError(f"identity suite requires E[Y] != 0, got {rv.describe()}")
@@ -837,41 +840,36 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     rec(_exact_record("binomial-sum-identities", desc, lam, nmax,
                       eq_identities_pass(min(nmax, 14))))
 
-    # distribution-specific closed forms; each (rv, family) pair is either
-    # entirely exact or entirely depth-truncated, so no per-entry dispatch
-    if rv.kind in _FINITE_S2 or rv.kind == "negbinomial":
+    # distribution-specific closed forms: exact for every named distribution
+    # but the negative binomial, whose depth-truncated triangles compare
+    # numerically (its log closed form is exact too)
+    if rv.kind in _EXACT_CLOSED_FORMS or rv.kind == "negbinomial":
         ncap = min(nmax, 10)
+        triangle_record = (
+            _exact_record if rv.kind in _EXACT_CLOSED_FORMS else _numeric_record
+        )
 
         def s2_closed():
             for n in range(ncap + 1):
                 for k in range(n + 1):
                     yield (n, k), t2big.value(n, k), closed_form(rv, lam, "s2", n, k, depth)
 
-        if rv.kind in _FINITE_S2:
-            rec(_exact_record("closed-form-s2", desc, lam, nmax, s2_closed()))
-        else:
-            rec(_numeric_record("closed-form-s2", desc, lam, nmax, s2_closed()))
+        rec(triangle_record("closed-form-s2", desc, lam, nmax, s2_closed()))
 
-        skip_infinite = rv.kind == "normal" and lam == 0  # printed forms need lam != 0
-        if not skip_infinite:
+        normal_at_zero = rv.kind == "normal" and lam == 0  # printed forms need lam != 0
+        if not normal_at_zero:
             def s1_closed():
                 for n in range(ncap + 1):
                     for k in range(n + 1):
                         yield (n, k), t1.value(n, k), closed_form(rv, lam, "s1", n, k, depth)
 
-            if rv.kind in _FINITE_S1:
-                rec(_exact_record("closed-form-s1", desc, lam, nmax, s1_closed()))
-            else:
-                rec(_numeric_record("closed-form-s1", desc, lam, nmax, s1_closed()))
+            rec(triangle_record("closed-form-s1", desc, lam, nmax, s1_closed()))
 
             def log_closed():
                 for n in range(1, ncap + 1):
                     yield (n,), log_series.egf(n), closed_form(rv, lam, "log", n, 0, depth)
 
-            if rv.kind == "normal":
-                rec(_numeric_record("closed-form-log", desc, lam, nmax, log_closed()))
-            else:
-                rec(_exact_record("closed-form-log", desc, lam, nmax, log_closed()))
+            rec(_exact_record("closed-form-log", desc, lam, nmax, log_closed()))
 
     if rv.kind == "uniform01":
         rec(_exact_record("uniform-divided-power-lemma", desc, lam, nmax,

@@ -1,8 +1,9 @@
 """Acceptance criteria for the whole package, one test per criterion.
 
 Each criterion prints a single PASS/FAIL line (written straight to the
-terminal so it survives pytest capture).  Exact identities are asserted with
-rational equality; the finitely truncated closed forms use 1e-9 relative
+terminal so it survives pytest capture).  Exact identities, and every
+closed form but the negative binomial's, are asserted with rational
+equality; the truncated negative-binomial closed forms use 1e-9 relative
 tolerance at depth >= 60, with "inconclusive" reserved for unstabilized
 partial sums.
 """
@@ -151,8 +152,9 @@ def test_gamma_family_identities(suite_reports):
 
 
 def test_distribution_closed_forms(suite_reports):
-    """Printed per-distribution formulas: finite ones exactly, infinite ones
-    within 1e-9 relative at depth >= 60 (or reported inconclusive)."""
+    """Printed per-distribution formulas: exactly, except the truncated
+    negative-binomial triangles, within 1e-9 relative at depth >= 60 (or
+    reported inconclusive)."""
     inconclusive = _assert_records(
         suite_reports,
         {

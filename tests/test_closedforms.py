@@ -4,9 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from probstirling.cli import main
 from probstirling.closedforms import NumericResult, closed_form, uniform_first_kind
 from probstirling.prob import prob_log, prob_triangle
 from probstirling.randomvars import RandomVar
+from probstirling.verify import identity_suite
 
 LAM = F(1, 2)
 NMAX = 6
@@ -49,7 +51,7 @@ def test_gamma_split():
     for n in range(NMAX + 1):
         for k in range(n + 1):
             assert closed_form(rv, LAM, "s2", n, k) == t2.value(n, k)
-            assert_close(closed_form(rv, LAM, "s1", n, k, depth=50), t1.value(n, k))
+            assert closed_form(rv, LAM, "s1", n, k, depth=50) == t1.value(n, k)
         assert closed_form(rv, LAM, "log", n) == log.egf(n)
 
 
@@ -61,9 +63,26 @@ def test_normal_split():
     for n in range(6):
         for k in range(n + 1):
             assert closed_form(rv, LAM, "s2", n, k) == t2.value(n, k)
-            assert_close(closed_form(rv, LAM, "s1", n, k, depth=50), t1.value(n, k))
+            assert closed_form(rv, LAM, "s1", n, k, depth=50) == t1.value(n, k)
         if n:
-            assert_close(closed_form(rv, LAM, "log", n, depth=50), log.egf(n))
+            assert closed_form(rv, LAM, "log", n, depth=50) == log.egf(n)
+
+
+@pytest.mark.parametrize(
+    "rv",
+    [RandomVar.gamma(F(1, 2), 2), RandomVar.gamma(3, F(1, 3)), RandomVar.normal(1, 1),
+     RandomVar.normal(F(-1, 2), 3)],
+    ids=lambda r: r.describe(),
+)
+def test_gamma_normal_forms_are_exact_and_depth_free(rv):
+    # their printed auxiliary sums vanish past index n, so no depth matters
+    for lam in (F(1, 2), F(-1, 3)):
+        for n in range(11):
+            entries = [("s1", k) for k in range(n + 1)] + ([("log", 0)] if n else [])
+            for family, k in entries:
+                shallow = closed_form(rv, lam, family, n, k, depth=10)
+                assert isinstance(shallow, F)
+                assert shallow == closed_form(rv, lam, family, n, k, depth=150)
 
 
 def test_normal_printed_formulas_need_nonzero_lam():
@@ -84,6 +103,48 @@ def test_negbinomial_split():
             assert_close(closed_form(rv, LAM, "s2", n, k, depth=100), t2.value(n, k))
             assert_close(closed_form(rv, LAM, "s1", n, k, depth=100), t1.value(n, k))
         assert closed_form(rv, LAM, "log", n) == log.egf(n)
+
+
+# (family, n, k, depth) -> (float.hex of the value, stabilized), recorded from
+# the two-pass evaluation the one-pass partial sums replaced
+NB_PINS = {
+    RandomVar.negbinomial(2, F(1, 2)): {
+        (F(1, 2), "s2", 4, 1, 12): ("0x1.48f0680000000p+7", False),
+        (F(1, 2), "s1", 5, 2, 12): ("-0x1.7a8f4adff7189p+5", False),
+        (F(1, 2), "s2", 4, 2, 60): ("0x1.9affffffb86f1p+8", False),
+        (F(1, 2), "s1", 5, 2, 60): ("-0x1.7e07fffffffeep+5", True),
+        (F(0), "s1", 6, 3, 100): ("-0x1.4eb0000000000p+7", True),
+        (F(-1, 3), "s1", 8, 4, 60): ("0x1.6a58c68251078p+12", False),
+    },
+    RandomVar.negbinomial(3, F(2, 5)): {
+        (F(1, 2), "s2", 7, 3, 100): ("0x1.4a776ae31bc05p+26", False),
+        (F(-1, 3), "s1", 7, 2, 60): ("-0x1.ba6c17800f25ep+8", True),
+    },
+}
+
+
+@pytest.mark.parametrize("rv", list(NB_PINS), ids=lambda r: r.describe())
+def test_negbinomial_partial_sums_are_pinned(rv):
+    for (lam, family, n, k, depth), (hex_value, stabilized) in NB_PINS[rv].items():
+        result = closed_form(rv, lam, family, n, k, depth)
+        assert result == NumericResult(float.fromhex(hex_value), depth, stabilized)
+
+
+@pytest.mark.parametrize(
+    "rv", [RandomVar.poisson(2), RandomVar.gamma(F(1, 2), 2), RandomVar.pointmass(1)],
+    ids=lambda r: r.kind,
+)
+def test_depth_below_ten_is_rejected_for_every_distribution(rv, capsys):
+    if rv.kind != "pointmass":  # no closed forms to ask for
+        with pytest.raises(ValueError, match="depth"):
+            closed_form(rv, LAM, "s2", 2, 1, depth=5)
+    with pytest.raises(ValueError, match="depth"):
+        identity_suite(rv, LAM, 2, depth=5)
+    spec = {"poisson": "poisson:alpha=2", "gamma": "gamma:alpha=1/2,beta=2",
+            "pointmass": "pointmass:c=1"}[rv.kind]
+    code = main(["verify", "--rv", spec, "--lambda", "1/2", "--nmax", "2", "--depth", "5"])
+    assert code == 3
+    assert "depth" in capsys.readouterr().err
 
 
 def test_unstabilized_depth_is_flagged_not_failed():

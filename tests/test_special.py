@@ -36,6 +36,25 @@ def test_falling_factorial_examples():
     assert falling_factorial(7, 0, 5) == 1
 
 
+def test_binom_matches_product_formula_for_integer_tops():
+    for top in range(-40, 41):
+        for k in range(-2, 45):
+            product = F(0) if k < 0 else F(1)
+            for i in range(max(k, 0)):
+                product *= top - i
+            got = binom(top, k)
+            assert type(got) is F
+            assert got == product / factorial(max(k, 0)), (top, k)
+            assert binom(F(top), k) == got
+
+
+def test_binom_fractional_top():
+    assert binom(F(1, 2), 3) == F(1, 16)
+    assert type(binom(F(-1, 3), 0)) is F
+    with pytest.raises(TypeError):
+        binom(0.5, 2)
+
+
 def test_rising_factorial_examples():
     assert rising_factorial(2, 3, 1) == 24
     assert rising_factorial(F(1, 2), 2, F(1, 2)) == F(1, 2)
