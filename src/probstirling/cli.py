@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .prob import prob_log, prob_order_numbers, prob_triangle
 from .randomvars import RandomVar, builtin_random_vars
-from .special import Triangle, triangle
+from .special import TRIANGLE_FAMILIES, Triangle, triangle
 from .verify import (
     DEFAULT_GAMMAS,
     DEFAULT_LAMBDA_GRID,
@@ -36,7 +36,6 @@ from .verify import (
 ORDER_ENV_VAR = "PROBSTIRLING_ORDER"
 _DEFAULT_ORDER = 32
 
-_DETERMINISTIC_FAMILIES = ("s1", "s2", "lah", "h", "g")
 _PROB_FAMILIES = ("prob-s1", "prob-s2", "prob-h", "prob-g")
 _SERIES_KINDS = ("prob-log", "bernoulli", "daehee", "cauchy")
 
@@ -186,7 +185,7 @@ def _emit_json(payload: dict, output) -> None:
 def _cmd_table(args) -> int:
     family = args.family.lower()
     lam = parse_rational(args.lam)
-    if family in _DETERMINISTIC_FAMILIES:
+    if family in TRIANGLE_FAMILIES:
         t = triangle(family, lam, args.nmax)
     elif family in _PROB_FAMILIES:
         if args.rv is None:
@@ -234,7 +233,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_verify(args) -> int:
     nmax = args.nmax
-    gammas = tuple(int(parse_rational(g)) for g in args.gammas.split(","))
+    gammas = tuple(parse_rational(g) for g in args.gammas.split(","))
     lam_grid = (
         [parse_rational(args.lam)] if args.lam is not None else list(DEFAULT_LAMBDA_GRID)
     )
@@ -302,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--lambda", dest="lam", default=None,
                           help="single lambda (default: the built-in grid)")
     p_verify.add_argument("--nmax", type=int, default=8)
-    p_verify.add_argument("--gammas", default=",".join(str(g) for g in DEFAULT_GAMMAS))
+    p_verify.add_argument("--gammas", default=",".join(str(g) for g in DEFAULT_GAMMAS),
+                          help="comma-separated integer orders; a non-integer exits 3")
     p_verify.add_argument("--depth", type=int, default=60,
                           help="truncation depth (>= 10) for the negative-binomial "
                                "closed forms, the only infinite ones")

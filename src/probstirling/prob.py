@@ -21,8 +21,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .randomvars import RandomVar
-from .series import Scalar, Series, _rat, as_delta
-from .special import Triangle, binom, deg_exp, log_deg_exp, triangle, triangle_from_base
+from .series import Scalar, Series, _rat
+from .special import (
+    Triangle,
+    bernoulli_from_mgf,
+    binom,
+    deg_exp,
+    log_deg_exp,
+    order_from_log,
+    triangle,
+    triangle_from_base,
+)
 
 __all__ = [
     "ProbBundle",
@@ -226,48 +235,6 @@ def _mgf_power(rv: RandomVar, lam: Fraction, j: int, order: int) -> Series:
 # Order-gamma number families
 # ---------------------------------------------------------------------------
 
-def _check_gamma(gamma: Fraction, mean: Fraction) -> None:
-    if gamma.denominator != 1 and mean != 1:
-        raise ValueError(
-            "non-integer order requires E[Y] = 1; the normalization "
-            f"E[Y]**gamma would be irrational (E[Y] = {mean})"
-        )
-
-
-def bernoulli_from_mgf(mgf: Series, gamma: Scalar, x: Scalar = 0) -> Series:
-    """Higher-order Bernoulli-type series (t/(mgf-1))**gamma * mgf**x.
-
-    The result is one order shorter than `mgf` (the shift by t costs one
-    coefficient).
-    """
-    gamma, x = _rat(gamma), _rat(x)
-    order = mgf.order - 1
-    delta = as_delta(mgf - Series.one(mgf.order))
-    _check_gamma(gamma, delta.coeff(1))
-    q = Series.one(order) / delta.shift_down(1)
-    result = q.pow(gamma)
-    if x:
-        result = result * mgf.pow(x).truncate(order)
-    return result
-
-
-def order_from_log(log_series: Series, gamma: Scalar, family: str) -> Series:
-    """Daehee- or Cauchy-type series from a logarithm-type delta series.
-
-    daehee: (log/t)**gamma, cauchy: (t/log)**gamma; one order is consumed by
-    the shift.
-    """
-    gamma = _rat(gamma)
-    as_delta(log_series)
-    _check_gamma(gamma, 1 / log_series.coeff(1))
-    shifted = log_series.shift_down(1)
-    if family == "daehee":
-        return shifted.pow(gamma)
-    if family == "cauchy":
-        return (Series.one(shifted.order) / shifted).pow(gamma)
-    raise ValueError(f"unknown order-number family {family!r}")
-
-
 def prob_order_numbers(rv: RandomVar, lam: Scalar, gamma: Scalar, x: Scalar,
                        family: str, order: int) -> Series:
     """Probabilistic higher-order Bernoulli / Daehee / Cauchy number series.
@@ -278,12 +245,11 @@ def prob_order_numbers(rv: RandomVar, lam: Scalar, gamma: Scalar, x: Scalar,
     only when E[Y] = 1.
     """
     lam = _rat(lam)
-    b = bundle(rv, lam, order + 1)
     if family == "bernoulli":
-        return bernoulli_from_mgf(b.mgf, gamma, x)
+        return bernoulli_from_mgf(mgf_deg(rv, lam, order + 1), gamma, x)
     if _rat(x) != 0:
         raise ValueError(f"the {family} family does not take a shift argument")
-    return order_from_log(b.reverted, gamma, family)
+    return order_from_log(prob_log(rv, lam, order + 1), gamma, family)
 
 
 def prob_log(rv: RandomVar, lam: Scalar, order: int) -> Series:

@@ -21,7 +21,6 @@ SAMPLABLE_KINDS = (
     "bernoulli", "binomial", "poisson", "exponential", "gamma",
     "geometric", "normal", "negbinomial", "uniform01", "pointmass",
 )
-ALL_KINDS = SAMPLABLE_KINDS + ("custom",)
 
 
 def _require(condition: bool, message: str) -> None:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .series import Series, Scalar, _rat
+from .series import Series, Scalar, _rat, as_delta
 
 __all__ = [
     "Triangle",
@@ -35,6 +35,8 @@ __all__ = [
     "triangle_from_base",
     "partial_bell",
     "order_numbers",
+    "bernoulli_from_mgf",
+    "order_from_log",
     "bernoulli_pade_a2",
     "frobenius_euler",
     "lah_bell",
@@ -237,6 +239,48 @@ def partial_bell(x: Sequence[Scalar], n: int, k: int) -> Fraction:
     return power.egf(n) / factorial(k)
 
 
+def _check_gamma(gamma: Fraction, mean: Fraction) -> None:
+    if gamma.denominator != 1 and mean != 1:
+        raise ValueError(
+            "non-integer order requires E[Y] = 1; the normalization "
+            f"E[Y]**gamma would be irrational (E[Y] = {mean})"
+        )
+
+
+def bernoulli_from_mgf(mgf: Series, gamma: Scalar, x: Scalar = 0) -> Series:
+    """Higher-order Bernoulli-type series (t/(mgf-1))**gamma * mgf**x.
+
+    The result is one order shorter than `mgf` (the shift by t costs one
+    coefficient).
+    """
+    gamma, x = _rat(gamma), _rat(x)
+    order = mgf.order - 1
+    delta = as_delta(mgf - Series.one(mgf.order))
+    _check_gamma(gamma, delta.coeff(1))
+    q = Series.one(order) / delta.shift_down(1)
+    result = q.pow(gamma)
+    if x:
+        result = result * mgf.pow(x).truncate(order)
+    return result
+
+
+def order_from_log(log_series: Series, gamma: Scalar, family: str) -> Series:
+    """Daehee- or Cauchy-type series from a logarithm-type delta series.
+
+    daehee: (log/t)**gamma, cauchy: (t/log)**gamma; one order is consumed by
+    the shift.
+    """
+    gamma = _rat(gamma)
+    as_delta(log_series)
+    _check_gamma(gamma, 1 / log_series.coeff(1))
+    shifted = log_series.shift_down(1)
+    if family == "daehee":
+        return shifted.pow(gamma)
+    if family == "cauchy":
+        return (Series.one(shifted.order) / shifted).pow(gamma)
+    raise ValueError(f"unknown order-number family {family!r}")
+
+
 def order_numbers(lam: Scalar, gamma: Scalar, x: Scalar, family: str,
                   order: int) -> Series:
     """Series of higher-order degenerate Bernoulli, Daehee or Cauchy numbers.
@@ -251,22 +295,12 @@ def order_numbers(lam: Scalar, gamma: Scalar, x: Scalar, family: str,
     bases have unit constant term, so any rational gamma is valid.  The shift
     x is only defined for the bernoulli family.
     """
-    lam, gamma, x = _rat(lam), _rat(gamma), _rat(x)
+    lam = _rat(lam)
     if family == "bernoulli":
-        e = deg_exp(lam, 1, order + 1)
-        q = Series.one(order) / (e - Series.one(order + 1)).shift_down(1)
-        result = q.pow(gamma)
-        if x:
-            result = result * deg_exp(lam, x, order)
-        return result
-    if x != 0:
+        return bernoulli_from_mgf(deg_exp(lam, 1, order + 1), gamma, x)
+    if _rat(x) != 0:
         raise ValueError(f"the {family} family does not take a shift argument")
-    log_over_t = deg_log(lam, order + 1).shift_down(1)
-    if family == "daehee":
-        return log_over_t.pow(gamma)
-    if family == "cauchy":
-        return (Series.one(order) / log_over_t).pow(gamma)
-    raise ValueError(f"unknown order-number family {family!r}")
+    return order_from_log(deg_log(lam, order + 1), gamma, family)
 
 
 def bernoulli_pade_a2(order: int) -> Series:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
@@ -177,9 +177,8 @@ class MCEstimate:
 # Oracles: recurrences, closed forms, textbook moments
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def stirling1_oracle(nmax: int) -> tuple:
-    """Signed first-kind Stirling table via s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k)."""
+def _recurrence_table(nmax: int, coefficient) -> tuple:
+    """Rows 0..nmax of T(n,k) = T(n-1,k-1) + coefficient(n-1, k) T(n-1,k), T(0,0) = 1."""
     rows = [[_ONE]]
     for n in range(1, nmax + 1):
         prev = rows[-1]
@@ -187,57 +186,45 @@ def stirling1_oracle(nmax: int) -> tuple:
         for k in range(n + 1):
             above_left = prev[k - 1] if k >= 1 else _ZERO
             above = prev[k] if k <= n - 1 else _ZERO
-            row[k] = above_left - (n - 1) * above
+            row[k] = above_left + coefficient(n - 1, k) * above
         rows.append(row)
     return tuple(tuple(r) for r in rows)
+
+
+def stirling1_oracle(nmax: int) -> tuple:
+    """Signed first-kind Stirling table via s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k)."""
+    return stirling1_deg_oracle(nmax, _ZERO)
 
 
 @lru_cache(maxsize=None)
 def stirling2_oracle(nmax: int) -> tuple:
     """Second-kind Stirling table via S(n,k) = S(n-1,k-1) + k S(n-1,k)."""
-    rows = [[_ONE]]
-    for n in range(1, nmax + 1):
-        prev = rows[-1]
-        row = [_ZERO] * (n + 1)
-        for k in range(n + 1):
-            above_left = prev[k - 1] if k >= 1 else _ZERO
-            above = prev[k] if k <= n - 1 else _ZERO
-            row[k] = above_left + k * above
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+    return _recurrence_table(nmax, lambda m, k: k)
 
 
 @lru_cache(maxsize=None)
 def stirling1_deg_oracle(nmax: int, lam: Fraction) -> tuple:
     """Degenerate first-kind table via S(n+1,k) = S(n,k-1) + (k lam - n) S(n,k)."""
-    rows = [[_ONE]]
-    for n in range(1, nmax + 1):
-        prev = rows[-1]
-        row = [_ZERO] * (n + 1)
-        for k in range(n + 1):
-            above_left = prev[k - 1] if k >= 1 else _ZERO
-            above = prev[k] if k <= n - 1 else _ZERO
-            row[k] = above_left + (k * lam - (n - 1)) * above
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+    return _recurrence_table(nmax, lambda m, k: k * lam - m)
+
+
+def _incl_excl(k: int, f) -> Fraction:
+    """(1/k!) sum_j (-1)^(k-j) C(k, j) f(j): the k-th difference of f at 0, over k!."""
+    total = _ZERO
+    for j in range(k + 1):
+        term = binom(k, j) * f(j)
+        total += -term if (k - j) % 2 else term
+    return total / factorial(k)
 
 
 def stirling2_deg_incl_excl(n: int, k: int, lam: Fraction) -> Fraction:
     """Degenerate second-kind entry from the inclusion-exclusion sum."""
-    total = _ZERO
-    for j in range(k + 1):
-        term = binom(k, j) * falling_factorial(j, n, lam)
-        total += -term if (k - j) % 2 else term
-    return total / factorial(k)
+    return _incl_excl(k, lambda j: falling_factorial(j, n, lam))
 
 
 def rising_incl_excl(n: int, k: int, lam: Fraction) -> Fraction:
     """Rising-factorial connection entry from its inclusion-exclusion sum."""
-    total = _ZERO
-    for j in range(k + 1):
-        term = binom(k, j) * rising_factorial(j, n, lam)
-        total += -term if (k - j) % 2 else term
-    return total / factorial(k)
+    return _incl_excl(k, lambda j: rising_factorial(j, n, lam))
 
 
 def lah_closed(n: int, k: int) -> Fraction:
@@ -394,49 +381,34 @@ def check_orthogonality(t2: Triangle, t1: Triangle, seed: int = 20250801) -> Ver
     lam = t2.lam
     report = VerificationReport("orthogonality")
 
-    def left():
+    def orthogonality(outer: Triangle, inner: Triangle):
         for n in range(nmax + 1):
             for l in range(n + 1):
                 total = sum(
-                    (t2.value(n, k) * t1.value(k, l) for k in range(l, n + 1)), _ZERO
+                    (outer.value(n, k) * inner.value(k, l) for k in range(l, n + 1)), _ZERO
                 )
                 yield (n, l), total, (_ONE if n == l else _ZERO)
-
-    def right():
-        for n in range(nmax + 1):
-            for l in range(n + 1):
-                total = sum(
-                    (t1.value(n, k) * t2.value(k, l) for k in range(l, n + 1)), _ZERO
-                )
-                yield (n, l), total, (_ONE if n == l else _ZERO)
-
-    report.records.append(_exact_record("orthogonality-left", rv_desc, lam, nmax, left()))
-    report.records.append(_exact_record("orthogonality-right", rv_desc, lam, nmax, right()))
 
     b = _rational_sequence(seed, nmax + 1)
-    a = [
-        sum((t2.value(n, k) * b[k] for k in range(n + 1)), _ZERO)
-        for n in range(nmax + 1)
-    ]
-    recovered = (
-        ((n,), sum((t1.value(n, k) * a[k] for k in range(n + 1)), _ZERO), b[n])
-        for n in range(nmax + 1)
-    )
-    report.records.append(
-        _exact_record("inversion-columns", rv_desc, lam, nmax, recovered)
-    )
 
-    a_t = [
-        sum((t2.value(k, n) * b[k] for k in range(n, nmax + 1)), _ZERO)
-        for n in range(nmax + 1)
-    ]
-    recovered_t = (
-        ((n,), sum((t1.value(k, n) * a_t[k] for k in range(n, nmax + 1)), _ZERO), b[n])
-        for n in range(nmax + 1)
-    )
-    report.records.append(
-        _exact_record("inversion-rows", rv_desc, lam, nmax, recovered_t)
-    )
+    def inversion(transposed: bool):
+        # columns: a_n = sum_k T2(n,k) b_k; rows: a_n = sum_k T2(k,n) b_k
+        def apply(t: Triangle, seq: list, n: int) -> Fraction:
+            if transposed:
+                return sum((t.value(k, n) * seq[k] for k in range(n, nmax + 1)), _ZERO)
+            return sum((t.value(n, k) * seq[k] for k in range(n + 1)), _ZERO)
+
+        a = [apply(t2, b, n) for n in range(nmax + 1)]
+        for n in range(nmax + 1):
+            yield (n,), apply(t1, a, n), b[n]
+
+    for identity, pairs in (
+        ("orthogonality-left", orthogonality(t2, t1)),
+        ("orthogonality-right", orthogonality(t1, t2)),
+        ("inversion-columns", inversion(False)),
+        ("inversion-rows", inversion(True)),
+    ):
+        report.records.append(_exact_record(identity, rv_desc, lam, nmax, pairs))
     return report
 
 
@@ -504,7 +476,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     """Run every supported identity for one (rv, lam) configuration.
 
     `gammas` must be integers (poles are skipped where an identity excludes
-    them).  `depth` (>= 10) truncates the negative-binomial closed forms.
+    them): a non-integer rational raises ValueError, a float TypeError.  `depth` (>= 10) truncates the negative-binomial closed forms.
     `moment_perturbation = (index, delta)` shifts one textbook-oracle moment
     and exists as a fault-injection hook for negative-control tests.
     """
@@ -514,6 +486,9 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     mean = rv.mean()
     if mean == 0:
         raise ValueError(f"identity suite requires E[Y] != 0, got {rv.describe()}")
+    gammas = tuple(_rat(g) for g in gammas)
+    if any(g.denominator != 1 for g in gammas):
+        raise ValueError(f"gammas must be integers, got {', '.join(map(str, gammas))}")
     gammas = tuple(int(g) for g in gammas)
     desc = rv.describe()
     nbig = 2 * nmax
@@ -526,12 +501,9 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     tg = prob_triangle(rv, lam, "g", nmax)
     log_series = prob_log(rv, lam, nmax)
 
-    beta_cache: dict = {}
-
+    @cache
     def beta(gamma: int) -> Series:
-        if gamma not in beta_cache:
-            beta_cache[gamma] = prob_order_numbers(rv, lam, gamma, 0, "bernoulli", nmax)
-        return beta_cache[gamma]
+        return prob_order_numbers(rv, lam, gamma, 0, "bernoulli", nmax)
 
     falling_moments = [sj_moment(rv, lam, 1, i) for i in range(nmax + 3)]
     rising_moments = [sj_moment(rv, -lam, 1, i) for i in range(nmax + 2)]
@@ -559,13 +531,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
         for n in range(nmax + 1):
             for k in range(n + 1):
                 engine = t2big.value(n, k)
-                incl = sum(
-                    (
-                        (-1 if (k - j) % 2 else 1) * binom(k, j) * sj_moment(rv, lam, j, n)
-                        for j in range(k + 1)
-                    ),
-                    _ZERO,
-                ) / factorial(k)
+                incl = _incl_excl(k, lambda j: sj_moment(rv, lam, j, n))
                 yield (n, k, 1), engine, incl
                 args = falling_moments[1: n - k + 2]
                 yield (n, k, 2), engine, partial_bell(args, n, k)
@@ -600,15 +566,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
             for k in range(n + 1):
                 h = thbig.value(n, k)
                 yield (n, k, 1), h, sign * neg_t2.value(n, k)
-                incl = sum(
-                    (
-                        (-1 if (k - j) % 2 else 1)
-                        * binom(k, j)
-                        * sj_moment(rv, -lam, j, n)
-                        for j in range(k + 1)
-                    ),
-                    _ZERO,
-                ) / factorial(k)
+                incl = _incl_excl(k, lambda j: sj_moment(rv, -lam, j, n))
                 yield (n, k, 2), h, incl
                 args = rising_moments[1: n - k + 2]
                 yield (n, k, 3), h, partial_bell(args, n, k)
@@ -618,23 +576,14 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     # rising-factorial first kind: sign-flipped reversion of -Y, plus Bell forms
     neg_delta = neg_mgf - Series.one(neg_mgf.order)
     neg_t1 = triangle_from_base(neg_delta.revert().truncate(nmax), "neg-s1", lam, nmax)
-    neg_beta_cache: dict = {}
 
+    @cache
     def neg_beta(gamma: int) -> Series:
-        if gamma not in neg_beta_cache:
-            neg_beta_cache[gamma] = bernoulli_from_mgf(
-                mgf_deg_neg(rv, lam, nmax + 1), gamma
-            )
-        return neg_beta_cache[gamma]
+        return bernoulli_from_mgf(mgf_deg_neg(rv, lam, nmax + 1), gamma)
 
-    minus_lam_beta_cache: dict = {}
-
+    @cache
     def minus_lam_beta(gamma: int) -> Series:
-        if gamma not in minus_lam_beta_cache:
-            minus_lam_beta_cache[gamma] = bernoulli_from_mgf(
-                mgf_deg(rv, -lam, nmax + 1), gamma
-            )
-        return minus_lam_beta_cache[gamma]
+        return bernoulli_from_mgf(mgf_deg(rv, -lam, nmax + 1), gamma)
 
     def rising_first_kind():
         for n in range(nmax + 1):
@@ -715,19 +664,14 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     rec(_exact_record("bernoulli-double-sum", desc, lam, nmax, bernoulli_double_sum()))
 
     # Schlomilch sums against the reversion-based triangles
-    def schlomilch_pairs():
+    def schlomilch_pairs(second_kind: Triangle, first_kind: Triangle):
         for n in range(nmax + 1):
             for k in range(n + 1):
-                yield (n, k), schlomilch_sum(mean, t2big.value, n, k), t1.value(n, k)
+                lhs = schlomilch_sum(mean, second_kind.value, n, k)
+                yield (n, k), lhs, first_kind.value(n, k)
 
-    rec(_exact_record("schlomilch", desc, lam, nmax, schlomilch_pairs()))
-
-    def schlomilch_rising_pairs():
-        for n in range(nmax + 1):
-            for k in range(n + 1):
-                yield (n, k), schlomilch_sum(mean, thbig.value, n, k), tg.value(n, k)
-
-    rec(_exact_record("schlomilch-rising", desc, lam, nmax, schlomilch_rising_pairs()))
+    rec(_exact_record("schlomilch", desc, lam, nmax, schlomilch_pairs(t2big, t1)))
+    rec(_exact_record("schlomilch-rising", desc, lam, nmax, schlomilch_pairs(thbig, tg)))
 
     # log coefficients from second-kind data only
     def log_from_second_kind():
@@ -742,50 +686,36 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
 
     rec(_exact_record("log-from-second-kind", desc, lam, nmax, log_from_second_kind()))
 
-    # Daehee / Cauchy orders against first-kind sums and Bernoulli ratios
-    def daehee_sum():
+    # Daehee / Cauchy orders against first-kind sums and Bernoulli ratios:
+    # sign +1 pairs the Daehee numbers of order gamma with Bernoulli order
+    # gamma, sign -1 pairs the Cauchy numbers with Bernoulli order -gamma
+    order_families = (("daehee", 1), ("cauchy", -1))
+
+    def order_sum(family: str, sign: int):
         for gamma in gammas:
-            d = prob_order_numbers(rv, lam, gamma, 0, "daehee", nmax)
+            d = prob_order_numbers(rv, lam, gamma, 0, family, nmax)
             for n in range(nmax + 1):
                 rhs = sum(
-                    (beta(gamma).egf(k) * t1.value(n, k) for k in range(n + 1)), _ZERO
+                    (beta(sign * gamma).egf(k) * t1.value(n, k) for k in range(n + 1)), _ZERO
                 )
                 yield (gamma, n), d.egf(n), rhs
 
-    rec(_exact_record("daehee-from-first-kind", desc, lam, nmax, daehee_sum()))
-
-    def cauchy_sum():
+    def order_ratio(family: str, sign: int):
         for gamma in gammas:
-            c = prob_order_numbers(rv, lam, gamma, 0, "cauchy", nmax)
+            d = prob_order_numbers(rv, lam, gamma, 0, family, nmax)
             for n in range(nmax + 1):
-                rhs = sum(
-                    (beta(-gamma).egf(k) * t1.value(n, k) for k in range(n + 1)), _ZERO
-                )
-                yield (gamma, n), c.egf(n), rhs
-
-    rec(_exact_record("cauchy-from-first-kind", desc, lam, nmax, cauchy_sum()))
-
-    def daehee_ratio():
-        for gamma in gammas:
-            d = prob_order_numbers(rv, lam, gamma, 0, "daehee", nmax)
-            for n in range(nmax + 1):
-                if gamma == -n:
+                shifted = gamma + sign * n
+                if shifted == 0:
                     continue
-                rhs = Fraction(gamma, gamma + n) * beta(n + gamma).egf(n)
+                rhs = Fraction(gamma, shifted) * beta(sign * shifted).egf(n)
                 yield (gamma, n), d.egf(n), rhs
 
-    rec(_exact_record("daehee-bernoulli-ratio", desc, lam, nmax, daehee_ratio()))
-
-    def cauchy_ratio():
-        for gamma in gammas:
-            c = prob_order_numbers(rv, lam, gamma, 0, "cauchy", nmax)
-            for n in range(nmax + 1):
-                if gamma == n:
-                    continue
-                rhs = Fraction(gamma, gamma - n) * beta(n - gamma).egf(n)
-                yield (gamma, n), c.egf(n), rhs
-
-    rec(_exact_record("cauchy-bernoulli-ratio", desc, lam, nmax, cauchy_ratio()))
+    for family, sign in order_families:
+        rec(_exact_record(f"{family}-from-first-kind", desc, lam, nmax,
+                          order_sum(family, sign)))
+    for family, sign in order_families:
+        rec(_exact_record(f"{family}-bernoulli-ratio", desc, lam, nmax,
+                          order_ratio(family, sign)))
 
     # deterministic bridges at this lam: first-kind/Bernoulli and second-kind/Cauchy
     det_t1 = triangle("s1", lam, nmax)
@@ -906,91 +836,52 @@ def limit_suite(nmax: int) -> VerificationReport:
     s1c, s2c = stirling1_oracle(nmax), stirling2_oracle(nmax)
     pairs_all = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
 
-    rec(_exact_record(
-        "classical-s2-table", "-", _ZERO, nmax,
-        (((n, k), triangle("s2", 0, nmax).value(n, k), s2c[n][k]) for n, k in pairs_all),
-    ))
-    rec(_exact_record(
-        "classical-s1-table", "-", _ZERO, nmax,
-        (((n, k), triangle("s1", 0, nmax).value(n, k), s1c[n][k]) for n, k in pairs_all),
-    ))
-    rec(_exact_record(
-        "rising-limit-zero", "-", _ZERO, nmax,
-        (((n, k), triangle("h", 0, nmax).value(n, k), s2c[n][k]) for n, k in pairs_all),
-    ))
-    rec(_exact_record(
-        "rising-inverse-limit-zero", "-", _ZERO, nmax,
-        (((n, k), triangle("g", 0, nmax).value(n, k), s1c[n][k]) for n, k in pairs_all),
-    ))
-    rec(_exact_record(
-        "rising-limit-one-lah", "-", Fraction(1), nmax,
-        (((n, k), triangle("h", 1, nmax).value(n, k), lah_closed(n, k)) for n, k in pairs_all),
-    ))
-    rec(_exact_record(
-        "lah-closed-form", "-", _ZERO, nmax,
-        (((n, k), triangle("lah", 0, nmax).value(n, k), lah_closed(n, k)) for n, k in pairs_all),
+    def triangle_records(rows):
+        for identity, lam, family, oracle in rows:
+            t = triangle(family, lam, nmax)
+            rec(_exact_record(
+                identity, "-", lam, nmax,
+                (((n, k), t.value(n, k), oracle(n, k)) for n, k in pairs_all),
+            ))
+
+    triangle_records((
+        ("classical-s2-table", _ZERO, "s2", lambda n, k: s2c[n][k]),
+        ("classical-s1-table", _ZERO, "s1", lambda n, k: s1c[n][k]),
+        ("rising-limit-zero", _ZERO, "h", lambda n, k: s2c[n][k]),
+        ("rising-inverse-limit-zero", _ZERO, "g", lambda n, k: s1c[n][k]),
+        ("rising-limit-one-lah", _ONE, "h", lah_closed),
+        ("lah-closed-form", _ZERO, "lah", lah_closed),
     ))
 
-    x = Fraction(7, 2)
-    rec(_exact_record(
-        "falling-step-one", "-", Fraction(1), min(nmax, 8),
-        (
-            ((n,), falling_factorial(x, n, 1),
-             Fraction(1) * _classical_falling(x, n))
-            for n in range(min(nmax, 8) + 1)
-        ),
-    ))
-    rec(_exact_record(
-        "rising-step-one", "-", Fraction(1), min(nmax, 8),
-        (
-            ((n,), rising_factorial(x, n, 1), _classical_rising(x, n))
-            for n in range(min(nmax, 8) + 1)
-        ),
-    ))
+    x, small = Fraction(7, 2), min(nmax, 8)
+    for identity, engine, classical in (
+        ("falling-step-one", falling_factorial, _classical_falling),
+        ("rising-step-one", rising_factorial, _classical_rising),
+    ):
+        rec(_exact_record(
+            identity, "-", _ONE, small,
+            (((n,), engine(x, n, 1), classical(x, n)) for n in range(small + 1)),
+        ))
 
-    for lam in (Fraction(1, 2), Fraction(-1, 3)):
-        rec(_exact_record(
-            "deg-s2-incl-excl", "-", lam, nmax,
-            (
-                ((n, k), triangle("s2", lam, nmax).value(n, k),
-                 stirling2_deg_incl_excl(n, k, lam))
-                for n, k in pairs_all
-            ),
-        ))
-        rec(_exact_record(
-            "rising-incl-excl", "-", lam, nmax,
-            (
-                ((n, k), triangle("h", lam, nmax).value(n, k),
-                 rising_incl_excl(n, k, lam))
-                for n, k in pairs_all
-            ),
-        ))
-        deg1 = stirling1_deg_oracle(nmax, lam)
-        rec(_exact_record(
-            "deg-s1-recurrence", "-", lam, nmax,
-            (
-                ((n, k), triangle("s1", lam, nmax).value(n, k), deg1[n][k])
-                for n, k in pairs_all
-            ),
-        ))
+    triangle_records(
+        row
+        for lam in (Fraction(1, 2), Fraction(-1, 3))
+        for row in (
+            ("deg-s2-incl-excl", lam, "s2", partial(stirling2_deg_incl_excl, lam=lam)),
+            ("rising-incl-excl", lam, "h", partial(rising_incl_excl, lam=lam)),
+            ("deg-s1-recurrence", lam, "s1",
+             lambda n, k, deg1=stirling1_deg_oracle(nmax, lam): deg1[n][k]),
+        )
+    )
 
     # lam = 0 probabilistic second kind vs inclusion-exclusion on plain moments
-    small = min(nmax, 8)
     for rv in builtin_random_vars():
         t2 = prob_triangle(rv, 0, "s2", small)
 
         def classical_prob(rv=rv, t2=t2):
             for n in range(small + 1):
                 for k in range(n + 1):
-                    incl = sum(
-                        (
-                            (-1 if (k - j) % 2 else 1)
-                            * binom(k, j)
-                            * sum_power_moment(rv, j, n)
-                            for j in range(k + 1)
-                        ),
-                        _ZERO,
-                    ) / factorial(k)
+                    incl = _incl_excl(k, lambda j: sum_power_moment(rv, j, n))
                     yield (n, k), t2.value(n, k), incl
 
         rec(_exact_record(
@@ -1003,12 +894,12 @@ def limit_suite(nmax: int) -> VerificationReport:
         cap = min(nmax, 10)
 
         def pm_pairs(lam=lam, cap=cap):
-            for fam_prob, fam_det in (("s2", "s2"), ("s1", "s1"), ("h", "h"), ("g", "g")):
-                tp = prob_triangle(pm, lam, fam_prob, cap)
-                td = triangle(fam_det, lam, cap)
+            for family in ("s2", "s1", "h", "g"):
+                tp = prob_triangle(pm, lam, family, cap)
+                td = triangle(family, lam, cap)
                 for n in range(cap + 1):
                     for k in range(n + 1):
-                        yield (n, k, fam_prob), tp.value(n, k), td.value(n, k)
+                        yield (n, k, family), tp.value(n, k), td.value(n, k)
             pl = prob_log(pm, lam, cap)
             dl = deg_log(lam, cap)
             for n in range(cap + 1):

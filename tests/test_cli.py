@@ -1,5 +1,6 @@
 """Command-line surface: parsing, serialization, exit codes, reproducibility."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -174,6 +175,16 @@ def test_verify_requires_an_rv(capsys):
     assert code == 2
 
 
+def test_verify_non_integer_gamma_is_domain_error(capsys):
+    code, out, err = run(
+        capsys, "verify", "--rv", "poisson:alpha=2", "--lambda", "1/2",
+        "--nmax", "3", "--gammas", "1/2",
+    )
+    assert code == 3
+    assert out == ""
+    assert "integer" in err
+
+
 def test_verify_all_builtin_report_shape(capsys):
     code, out, _ = run(
         capsys, "verify", "--all-builtin", "--lambda", "1/2", "--nmax", "3",
@@ -183,6 +194,17 @@ def test_verify_all_builtin_report_shape(capsys):
     payload = json.loads(out)
     rvs = {r["rv"] for r in payload["records"]}
     assert len(rvs) >= 10  # every builtin appears (plus suite-internal tags)
+
+
+def test_verify_lambda_half_output_is_pinned(capsys):
+    # pins record order and multiplicity, which a multiset comparison misses
+    code, out, _ = run(
+        capsys, "verify", "--all-builtin", "--lambda", "1/2", "--nmax", "4",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c750eb9d50cfae8e62c2667bc00b3766936c17faba9cfe584c701197727d58af"
+    )
 
 
 # -- mc command -----------------------------------------------------------------------

@@ -201,6 +201,25 @@ def test_daehee_and_cauchy_bernoulli_ratios():
             assert cauchy.egf(n) == F(gamma, gamma - n) * bern_down.egf(n)
 
 
+def test_bernoulli_order_numbers_need_no_reversion(monkeypatch):
+    calls = []
+    revert = Series.revert
+
+    def counting_revert(self):
+        calls.append(self.order)
+        return revert(self)
+
+    monkeypatch.setattr(Series, "revert", counting_revert)
+    # a key no other test builds, so no cached bundle hides a reversion
+    rv = RandomVar.poisson(F(13, 7))
+    series = prob_order_numbers(rv, F(5, 11), 2, 0, "bernoulli", 6)
+    assert calls == []
+    assert series.egf(0) == 1 / rv.mean() ** 2
+    zero_mean = RandomVar.custom([F(1), F(0), F(1), F(0), F(3), F(0), F(15)])
+    with pytest.raises(ValueError):
+        prob_order_numbers(zero_mean, 0, 1, 0, "bernoulli", 5)
+
+
 def test_fractional_order_requires_unit_mean():
     with pytest.raises(ValueError):
         prob_order_numbers(RandomVar.poisson(2), LAM, F(1, 2), 0, "bernoulli", 4)

@@ -129,6 +129,13 @@ def test_identity_suite_rejects_a_float_lambda():
         identity_suite(RandomVar.poisson(2), 0.1, 3)
 
 
+def test_identity_suite_rejects_non_integer_gammas():
+    with pytest.raises(ValueError):
+        identity_suite(RandomVar.poisson(2), F(1, 2), 3, gammas=(F(1, 2),))
+    with pytest.raises(TypeError):
+        identity_suite(RandomVar.poisson(2), F(1, 2), 3, gammas=(1.7,))
+
+
 def test_report_serialization():
     report = identity_suite(RandomVar.bernoulli(F(1, 2)), 0, 3)
     payload = report.to_dict()
