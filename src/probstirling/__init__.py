@@ -12,6 +12,7 @@ every supported identity through independent paths and compares exactly.
 from .series import OrderMismatchError, Series, as_delta, coeff_egf, lagrange_extract
 from .special import (
     Triangle,
+    bell_triangle,
     bernoulli_pade_a2,
     binom,
     deg_exp,
@@ -59,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OrderMismatchError", "Series", "as_delta", "coeff_egf", "lagrange_extract",
-    "Triangle", "bernoulli_pade_a2", "binom", "deg_exp", "deg_log",
+    "Triangle", "bell_triangle", "bernoulli_pade_a2", "binom", "deg_exp", "deg_log",
     "falling_factorial", "frobenius_euler", "hetero_bell", "lah_bell",
     "log_deg_exp", "order_numbers", "partial_bell", "rising_factorial",
     "triangle", "triangle_from_base",

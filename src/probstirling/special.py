@@ -6,11 +6,16 @@ rising-falling "heterogeneous" connection triangles), partial Bell
 polynomials, higher-order Bernoulli/Daehee/Cauchy numbers, and a couple of
 auxiliary families (Bernoulli-Pade, degenerate Frobenius-Euler).
 
-Triangles are always computed from their generating functions; closed-form
-and recurrence-based duplicates live in :mod:`probstirling.verify` so the
-two computation paths stay independent.  All functions are pure, and the
-parameter lam = 0 selects the classical (non-degenerate) specialization
-exactly, never as a numeric limit.
+The Stirling-type triangles are always computed from their generating
+functions; closed-form and recurrence-based duplicates live in
+:mod:`probstirling.verify` so the two computation paths stay independent.
+Partial Bell polynomials are the exception: `bell_triangle` fills a whole
+table B_{n,k}, 0 <= k <= n <= nmax, from Comtet's recurrence, touching no
+series arithmetic, so the verification suites can use it as an oracle for
+the generating-function triangles; `partial_bell` reads one entry of it.
+
+All functions are pure, and the parameter lam = 0 selects the classical
+(non-degenerate) specialization exactly, never as a numeric limit.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
     "triangle",
     "triangle_from_base",
     "partial_bell",
+    "bell_triangle",
     "order_numbers",
     "bernoulli_from_mgf",
     "order_from_log",
@@ -219,24 +225,50 @@ def _triangle_cached(family: str, lam: Fraction, nmax: int) -> Triangle:
     return triangle_from_base(base, family, lam, nmax)
 
 
+def bell_triangle(x: Sequence[Scalar], nmax: int) -> Triangle:
+    """Partial Bell polynomials B_{n,k}(x1, x2, ...) for 0 <= k <= n <= nmax.
+
+    Filled row by row with the recurrence (Comtet, Advanced Combinatorics,
+    section 3.3)
+
+        B_{n,k} = sum_{i=1}^{n-k+1} C(n-1, i-1) x_i B_{n-i,k-1},
+
+    from B_{0,0} = 1 and B_{n,0} = 0 for n >= 1.  Only x1, ..., x_nmax enter
+    the table, so `x` needs at least nmax entries.  No series arithmetic and
+    no generating-function triangle is involved.  The result is a Triangle
+    of family "bell" whose lam field is unused (0).
+    """
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    if len(x) < nmax:
+        raise ValueError(f"need at least {nmax} sequence entries, got {len(x)}")
+    xs = [_rat(v) for v in x]
+    rows = [(_ONE,)]
+    for n in range(1, nmax + 1):
+        row = [_ZERO] * (n + 1)
+        for k in range(1, n + 1):
+            total = _ZERO
+            for i in range(1, n - k + 2):
+                below = rows[n - i][k - 1]
+                if below and xs[i - 1]:
+                    total += comb(n - 1, i - 1) * xs[i - 1] * below
+            row[k] = total
+        rows.append(tuple(row))
+    return Triangle("bell", _ZERO, nmax, tuple(rows))
+
+
 def partial_bell(x: Sequence[Scalar], n: int, k: int) -> Fraction:
     """Partial Bell polynomial B_{n,k}(x1, ..., x_{n-k+1}).
 
-    Computed as the EGF coefficient at n of (sum x_m t^m / m!)**k / k!.
+    The (n, k) entry of `bell_triangle`, with `x` cut to its first n-k+1
+    entries and padded with zeros; B_{n,k} never reads x_m for m > n-k+1.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     if len(x) < n - k + 1:
         raise ValueError(f"need at least {n - k + 1} sequence entries, got {len(x)}")
-    if n == 0:
-        return _ONE
-    if k == 0:
-        return _ZERO
-    coeffs = [_ZERO] * (n + 1)
-    for m in range(1, n - k + 2):
-        coeffs[m] = _rat(x[m - 1]) / factorial(m)
-    power = Series(coeffs).pow(k)
-    return power.egf(n) / factorial(k)
+    padded = list(x[: n - k + 1]) + [_ZERO] * max(k - 1, 0)
+    return bell_triangle(padded, n).value(n, k)
 
 
 def _check_gamma(gamma: Fraction, mean: Fraction) -> None:

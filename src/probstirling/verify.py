@@ -44,12 +44,12 @@ from .randomvars import RandomVar, builtin_random_vars
 from .series import Series, _rat, lagrange_extract
 from .special import (
     Triangle,
+    bell_triangle,
     binom,
     deg_exp,
     deg_log,
     falling_factorial,
     order_numbers,
-    partial_bell,
     rising_factorial,
     triangle,
     triangle_from_base,
@@ -475,12 +475,16 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                    moment_perturbation: Optional[tuple] = None) -> VerificationReport:
     """Run every supported identity for one (rv, lam) configuration.
 
-    `gammas` must be integers (poles are skipped where an identity excludes
-    them): a non-integer rational raises ValueError, a float TypeError.  `depth` (>= 10) truncates the negative-binomial closed forms.
+    `nmax` must be >= 1.  `gammas` must be integers (poles are skipped where
+    an identity excludes them): a non-integer rational raises ValueError, a
+    float TypeError.  `depth` (>= 10) truncates the negative-binomial closed
+    forms.
     `moment_perturbation = (index, delta)` shifts one textbook-oracle moment
     and exists as a fault-injection hook for negative-control tests.
     """
     lam = _rat(lam)
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
     if depth < 10:
         raise ValueError("truncation depth must be >= 10")
     mean = rv.mean()
@@ -505,8 +509,28 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     def beta(gamma: int) -> Series:
         return prob_order_numbers(rv, lam, gamma, 0, "bernoulli", nmax)
 
-    falling_moments = [sj_moment(rv, lam, 1, i) for i in range(nmax + 3)]
-    rising_moments = [sj_moment(rv, -lam, 1, i) for i in range(nmax + 2)]
+    @cache
+    def neg_beta(gamma: int) -> Series:
+        return bernoulli_from_mgf(mgf_deg_neg(rv, lam, nmax + 1), gamma)
+
+    falling_moments = [sj_moment(rv, lam, 1, i) for i in range(nmax + 2)]
+    rising_moments = [sj_moment(rv, -lam, 1, i) for i in range(nmax + 1)]
+
+    # partial Bell polynomials B_{n,k}(x_1, ..., x_nmax), one table per
+    # argument sequence; entries with n <= nmax read no x_m past m = nmax
+    bell_args = range(1, nmax + 1)
+    first_kind_bell = bell_triangle([beta(m).egf(m - 1) for m in bell_args], nmax)
+    falling_bell = bell_triangle(falling_moments[1:], nmax)
+    rising_bell = bell_triangle(rising_moments[1:], nmax)
+    neg_beta_bell = bell_triangle([-neg_beta(m).egf(m - 1) for m in bell_args], nmax)
+    minus_lam_mgf = mgf_deg(rv, -lam, nmax + 1)
+    minus_lam_beta_bell = bell_triangle(
+        [bernoulli_from_mgf(minus_lam_mgf, m).egf(m - 1) for m in bell_args], nmax
+    )
+    # shifted falling moments: the m-th argument is E[(Y)_{m+1,lam}] / (m+1)
+    shifted_args_bell = bell_triangle(
+        [falling_moments[m + 1] / (m + 1) for m in bell_args], nmax
+    )
 
     # orthogonality and inverse relations
     ortho = check_orthogonality(
@@ -521,8 +545,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 engine = t1.value(n, k)
                 bridge = binom(n - 1, k - 1) * beta(n).egf(n - k) if n else _ONE
                 yield (n, k, 1), engine, bridge
-                args = [beta(m).egf(m - 1) for m in range(1, n - k + 2)]
-                yield (n, k, 2), engine, partial_bell(args, n, k)
+                yield (n, k, 2), engine, first_kind_bell.value(n, k)
 
     rec(_exact_record("first-kind-three-way", desc, lam, nmax, first_kind_three_way()))
 
@@ -533,8 +556,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 engine = t2big.value(n, k)
                 incl = _incl_excl(k, lambda j: sj_moment(rv, lam, j, n))
                 yield (n, k, 1), engine, incl
-                args = falling_moments[1: n - k + 2]
-                yield (n, k, 2), engine, partial_bell(args, n, k)
+                yield (n, k, 2), engine, falling_bell.value(n, k)
 
     rec(_exact_record("second-kind-three-way", desc, lam, nmax, second_kind_three_way()))
 
@@ -568,8 +590,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 yield (n, k, 1), h, sign * neg_t2.value(n, k)
                 incl = _incl_excl(k, lambda j: sj_moment(rv, -lam, j, n))
                 yield (n, k, 2), h, incl
-                args = rising_moments[1: n - k + 2]
-                yield (n, k, 3), h, partial_bell(args, n, k)
+                yield (n, k, 3), h, rising_bell.value(n, k)
 
     rec(_exact_record("rising-second-kind-four-way", desc, lam, nmax, rising_second_kind()))
 
@@ -577,24 +598,14 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     neg_delta = neg_mgf - Series.one(neg_mgf.order)
     neg_t1 = triangle_from_base(neg_delta.revert().truncate(nmax), "neg-s1", lam, nmax)
 
-    @cache
-    def neg_beta(gamma: int) -> Series:
-        return bernoulli_from_mgf(mgf_deg_neg(rv, lam, nmax + 1), gamma)
-
-    @cache
-    def minus_lam_beta(gamma: int) -> Series:
-        return bernoulli_from_mgf(mgf_deg(rv, -lam, nmax + 1), gamma)
-
     def rising_first_kind():
         for n in range(nmax + 1):
             for k in range(n + 1):
                 g = tg.value(n, k)
                 sign = -1 if k % 2 else 1
                 yield (n, k, 1), g, sign * neg_t1.value(n, k)
-                args_neg = [-neg_beta(m).egf(m - 1) for m in range(1, n - k + 2)]
-                yield (n, k, 2), g, partial_bell(args_neg, n, k)
-                args_pos = [minus_lam_beta(m).egf(m - 1) for m in range(1, n - k + 2)]
-                yield (n, k, 3), g, partial_bell(args_pos, n, k)
+                yield (n, k, 2), g, neg_beta_bell.value(n, k)
+                yield (n, k, 3), g, minus_lam_beta_bell.value(n, k)
                 bridge = (
                     sign * binom(n - 1, k - 1) * neg_beta(n).egf(n - k)
                     if n
@@ -605,15 +616,10 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     rec(_exact_record("rising-first-kind-multi-way", desc, lam, nmax, rising_first_kind()))
 
     # partial Bell of shifted falling moments vs second-kind sums
-    # (m-th Bell argument is E[(Y)_{m+1,lam}] / (m+1), m = 1, 2, ...)
-    shifted_args = [
-        falling_moments[m + 1] / (m + 1) for m in range(1, nmax + 2)
-    ]
-
     def shifted_bell():
         for n in range(nmax + 1):
             for k in range(n + 1):
-                lhs = partial_bell(shifted_args[: n - k + 1], n, k)
+                lhs = shifted_args_bell.value(n, k)
                 rhs = sum(
                     (
                         binom(n + k, k - j)
@@ -637,7 +643,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                     (
                         falling_factorial(-gamma, k, 1)
                         * mean ** (-gamma - k)
-                        * partial_bell(shifted_args[: n - k + 1], n, k)
+                        * shifted_args_bell.value(n, k)
                         for k in range(n + 1)
                     ),
                     _ZERO,
@@ -691,9 +697,13 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     # gamma, sign -1 pairs the Cauchy numbers with Bernoulli order -gamma
     order_families = (("daehee", 1), ("cauchy", -1))
 
+    @cache
+    def order_series(family: str, gamma: int) -> Series:
+        return prob_order_numbers(rv, lam, gamma, 0, family, nmax)
+
     def order_sum(family: str, sign: int):
         for gamma in gammas:
-            d = prob_order_numbers(rv, lam, gamma, 0, family, nmax)
+            d = order_series(family, gamma)
             for n in range(nmax + 1):
                 rhs = sum(
                     (beta(sign * gamma).egf(k) * t1.value(n, k) for k in range(n + 1)), _ZERO
@@ -702,7 +712,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
 
     def order_ratio(family: str, sign: int):
         for gamma in gammas:
-            d = prob_order_numbers(rv, lam, gamma, 0, family, nmax)
+            d = order_series(family, gamma)
             for n in range(nmax + 1):
                 shifted = gamma + sign * n
                 if shifted == 0:

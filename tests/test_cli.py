@@ -185,6 +185,17 @@ def test_verify_non_integer_gamma_is_domain_error(capsys):
     assert "integer" in err
 
 
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_verify_nmax_below_one_is_domain_error(capsys, nmax):
+    code, out, err = run(
+        capsys, "verify", "--rv", "poisson:alpha=2", "--lambda", "1/2",
+        "--nmax", nmax,
+    )
+    assert code == 3
+    assert out == ""
+    assert "nmax must be >= 1" in err
+
+
 def test_verify_all_builtin_report_shape(capsys):
     code, out, _ = run(
         capsys, "verify", "--all-builtin", "--lambda", "1/2", "--nmax", "3",

@@ -1,6 +1,7 @@
 """Deterministic number families against closed forms and brute-force oracles."""
 
 import itertools
+import random
 from fractions import Fraction as F
 from math import factorial
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probstirling import special
 from probstirling.series import Series
 from probstirling.special import (
+    bell_triangle,
     bernoulli_pade_a2,
     binom,
     deg_exp,
@@ -204,6 +207,41 @@ def test_partial_bell_input_validation():
         partial_bell([F(1)], 3, 1)  # needs 3 entries
     with pytest.raises(ValueError):
         partial_bell([F(1)], 1, 2)
+
+
+def test_bell_triangle_matches_enumeration():
+    rng = random.Random(5)
+    for nmax in (0, 1, 4, 10):
+        xs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(nmax)]
+        table = bell_triangle(xs, nmax)
+        assert table.nmax == nmax
+        for n in range(nmax + 1):
+            assert len(table.row(n)) == n + 1
+            for k in range(n + 1):
+                assert table.value(n, k) == bell_by_enumeration(xs, n, k), (nmax, n, k)
+
+
+def test_bell_triangle_input_validation():
+    with pytest.raises(ValueError):
+        bell_triangle([F(1), F(2)], 3)  # needs x1..x3
+    with pytest.raises(ValueError):
+        bell_triangle([F(1)], -1)
+    with pytest.raises(TypeError):
+        bell_triangle([F(1), 0.5, F(2)], 3)
+
+
+def test_bell_triangle_uses_no_series_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Bell oracle must not use the series engine")
+
+    monkeypatch.setattr(Series, "pow", refuse)
+    monkeypatch.setattr(Series, "__mul__", refuse)
+    monkeypatch.setattr(special, "triangle_from_base", refuse)
+    xs = [F(1, 2), F(-2), F(3), F(1, 3), F(5), F(-1, 7)]
+    table = bell_triangle(xs, 6)
+    assert table.value(6, 1) == xs[5]
+    assert table.value(6, 6) == xs[0] ** 6
+    assert partial_bell(xs, 5, 2) == table.value(5, 2)
 
 
 # -- order-gamma number families -----------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from probstirling import verify
 from probstirling.prob import prob_triangle, sj_moment
 from probstirling.randomvars import RandomVar
 from probstirling.special import triangle
@@ -134,6 +135,28 @@ def test_identity_suite_rejects_non_integer_gammas():
         identity_suite(RandomVar.poisson(2), F(1, 2), 3, gammas=(F(1, 2),))
     with pytest.raises(TypeError):
         identity_suite(RandomVar.poisson(2), F(1, 2), 3, gammas=(1.7,))
+
+
+@pytest.mark.parametrize("nmax", [0, -1])
+def test_identity_suite_rejects_nmax_below_one(nmax):
+    with pytest.raises(ValueError, match="nmax must be >= 1"):
+        identity_suite(RandomVar.poisson(2), F(1, 2), nmax)
+
+
+def test_identity_suite_builds_each_daehee_cauchy_series_once(monkeypatch):
+    calls = []
+    original = verify.prob_order_numbers
+
+    def counting(rv, lam, gamma, x, family, order):
+        if family != "bernoulli":
+            calls.append((family, gamma))
+        return original(rv, lam, gamma, x, family, order)
+
+    monkeypatch.setattr(verify, "prob_order_numbers", counting)
+    report = identity_suite(RandomVar.poisson(2), F(1, 2), 4)
+    assert not report.failed
+    assert len(calls) == 16
+    assert len(set(calls)) == 16
 
 
 def test_report_serialization():
