@@ -1,0 +1,85 @@
+"""Per-operation micro-benchmark of the exact `Series` core.
+
+Times mul, div, exp, log1p, pow, compose and revert at N = 20/40/80 on the
+series the engine builds for Poisson(2) at lam = 1/2: the degenerate moment
+series m, its delta series m - 1 and that series' compositional inverse h
+(dense, with zero constant term, so exp and log1p take h).
+Each row is the minimum over five repeats of one call, in milliseconds, so a
+slow spell of the host inflates fewer rows than a mean would.
+
+Run from the repository root:
+
+    python3 scripts/bench_series.py [--json]
+
+The inputs are built, and every cache warmed, before any timing starts.
+This script is not part of the test run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from probstirling.prob import bundle, mgf_deg  # noqa: E402
+from probstirling.randomvars import RandomVar  # noqa: E402
+from probstirling.series import Series  # noqa: E402
+
+LAM = Fraction(1, 2)
+REPEATS = 5
+ORDERS = (20, 40, 80)
+
+
+def cases(order: int) -> dict:
+    """op name -> zero-argument callable, all over order-`order` inputs."""
+    rv = RandomVar.poisson(2)
+    mgf = mgf_deg(rv, LAM, order)
+    b = bundle(rv, LAM, order)
+    delta, reverted = b.delta, b.reverted
+    one = Series.one(order)
+    return {
+        "mul": lambda: mgf * reverted,
+        "div": lambda: one / mgf,
+        "exp": lambda: reverted.exp(),
+        "log1p": lambda: reverted.log1p(),
+        "pow": lambda: mgf.pow(Fraction(1, 2)),
+        "compose": lambda: delta.compose(reverted),
+        "revert": lambda: delta.revert(),
+    }
+
+
+def min_ms(fn) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--json", action="store_true", help="print one JSON document")
+    args = parser.parse_args(argv)
+    rows = []
+    for order in ORDERS:
+        for op, fn in cases(order).items():
+            rows.append({"op": op, "n": order, "min_ms": round(min_ms(fn), 3)})
+    if args.json:
+        print(json.dumps({"python": platform.python_version(), "repeats": REPEATS,
+                          "rows": rows}, indent=1))
+    else:
+        print(f"{'op':<8} {'N':>4} {'min ms':>10}")
+        for row in rows:
+            print(f"{row['op']:<8} {row['n']:>4} {row['min_ms']:>10.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

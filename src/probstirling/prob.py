@@ -253,8 +253,12 @@ def prob_order_numbers(rv: RandomVar, lam: Scalar, gamma: Scalar, x: Scalar,
 
 
 def prob_log(rv: RandomVar, lam: Scalar, order: int) -> Series:
-    """The probabilistic degenerate logarithm: inverse of mgf - 1 under composition."""
-    return bundle(rv, _rat(lam), order).reverted
+    """The probabilistic degenerate logarithm: inverse of mgf - 1 under composition.
+
+    Reversion needs the linear coefficient, so order 0 is read off the
+    order-1 inverse (still refused when E[Y] = 0).
+    """
+    return bundle(rv, _rat(lam), max(order, 1)).reverted.truncate(order)
 
 
 # ---------------------------------------------------------------------------

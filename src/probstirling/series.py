@@ -10,12 +10,23 @@ cache keys.
 
 Exponential-generating-function (EGF) coefficients ``a_n = n! * c_n`` are
 read with :meth:`Series.egf` / :func:`coeff_egf`.
+
+Storage is a tuple of ``Fraction``, but the inner loops of multiplication,
+division, ``exp``, ``log1p``, ``pow``, ``compose`` and ``revert`` run on
+Python ``int`` numerators over a common denominator (:func:`_scaled`), so
+each result coefficient is normalised by one ``Fraction(num, den)``
+instead of one gcd per product and sum.  The recurrences (division, the
+transcendental operations, reversion) keep the coefficients found so far
+over the lcm of their denominators, widened as it grows, rather than over
+a power of the input's denominator, which would grow much faster.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import repeat
+from math import factorial, lcm
+from operator import add, mul
 from typing import Iterable, Union
 
 __all__ = [
@@ -42,6 +53,64 @@ def _rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational (int or Fraction), got {value!r}")
+
+
+def _scaled(coeffs) -> tuple:
+    """Integer numerators over one common denominator: coeffs[i] = ints[i] / d.
+
+    d is the lcm of the denominators, the smallest denominator that works.
+    """
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _widen(nums: list, den: int, other: int) -> int:
+    """Rescale the integer numerators `nums` over `den`, in place, to a
+    denominator that `other` divides: `den` itself if possible, else the lcm
+    of the two.  Returns the denominator now in use.
+    """
+    if den % other:
+        wider = lcm(den, other)
+        scale = wider // den
+        nums[:] = [x * scale for x in nums]
+        den = wider
+    return den
+
+
+def _push(nums: list, den: int, value: Fraction) -> int:
+    """Append `value` to the integer numerators `nums` over `den`; returns
+    the denominator now in use."""
+    den = _widen(nums, den, value.denominator)
+    nums.append(value.numerator * (den // value.denominator))
+    return den
+
+
+def _ode_solve(f: list, y0: Fraction, alpha: int, beta: int, gamma: int,
+               r: list = None) -> list:
+    """y_0..y_N with y_0 given and, for n >= 1,
+
+        n gamma y_n = n r_n + sum_{m=1..n} (alpha m - beta n) f_m y_{n-m},
+
+    for integer f and r (r = 0 when omitted).  The prefix y_0..y_{n-1} is
+    kept as integer numerators over one denominator, so each y_n costs at
+    most two integer dot products and one normalisation.
+    """
+    n_max = len(f) - 1
+    mf = [m * c for m, c in enumerate(f)]
+    rf, rmf = f[:0:-1], mf[:0:-1]  # f_N..f_1, so rf[N - n:] starts at f_n
+    out = [y0]
+    nums, den = [y0.numerator], y0.denominator
+    for n in range(1, n_max + 1):
+        # sum_{m=1..n} f_m y_{n-m} pairs nums[0..n-1] with f_n..f_1
+        acc = alpha * sum(map(mul, nums, rmf[n_max - n:])) if alpha else 0
+        if beta:
+            acc -= beta * n * sum(map(mul, nums, rf[n_max - n:]))
+        if r is not None:
+            acc += n * r[n] * den
+        y = Fraction(acc, n * gamma * den)
+        out.append(y)
+        den = _push(nums, den, y)
+    return out
 
 
 class Series:
@@ -144,15 +213,14 @@ class Series:
             return NotImplemented
         self._check_order(other)
         n = self.order
-        a, b = self._coeffs, other._coeffs
-        out = [_ZERO] * (n + 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(n - i + 1):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return Series(out)
+        a, da = _scaled(self._coeffs)
+        b, db = _scaled(other._coeffs)
+        rb = b[::-1]
+        den = da * db
+        # out[m] = sum_i a[i] b[m - i]; rb[n - m:] runs b[m], b[m-1], ..., b[0]
+        return Series(
+            Fraction(sum(map(mul, a[: m + 1], rb[n - m:])), den) for m in range(n + 1)
+        )
 
     __rmul__ = __mul__
 
@@ -162,20 +230,13 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_order(other)
-        g = other._coeffs
-        if g[0] == 0:
+        if other._coeffs[0] == 0:
             raise ValueError("division by a series with zero constant term")
-        n = self.order
-        f = self._coeffs
-        inv_g0 = _ONE / g[0]
-        q = [_ZERO] * (n + 1)
-        for m in range(n + 1):
-            acc = f[m]
-            for i in range(m):
-                if q[i] and g[m - i]:
-                    acc -= q[i] * g[m - i]
-            q[m] = acc * inv_g0
-        return Series(q)
+        a, da = _scaled(self._coeffs)
+        b, db = _scaled(other._coeffs)
+        # b_0 q_n = a_n - sum_{m=1..n} b_m q_{n-m}, times n da db
+        q0 = Fraction(a[0] * db, da * b[0])
+        return Series(_ode_solve(b, q0, 0, da, da * b[0], [db * x for x in a]))
 
     # -- structural operations ------------------------------------------------
 
@@ -216,19 +277,22 @@ class Series:
         if g[0] != 0:
             raise ValueError("composition requires an inner series with zero constant term")
         n = self.order
-        f = self._coeffs
-        out = [f[0]] + [_ZERO] * n
+        f, df = _scaled(self._coeffs)
+        # sum_k f_k g**k as integer numerators over one denominator
+        acc, acc_den = [0] * (n + 1), 1
         # valuation of g; n + 1 for g = 0 leaves only the constant term
         val = next((i for i, c in enumerate(g) if c), n + 1)
         power = Series.one(n)
         for k in range(1, n // val + 1):
             power = power * inner
             if f[k]:
-                p = power._coeffs
+                p, dp = _scaled(power._coeffs)
+                acc_den = _widen(acc, acc_den, dp)
+                fk = f[k] * (acc_den // dp)
                 for m in range(k * val, n + 1):
-                    if p[m]:
-                        out[m] += f[k] * p[m]
-        return Series(out)
+                    acc[m] += fk * p[m]
+        acc[0] = f[0] * acc_den
+        return Series(Fraction(x, df * acc_den) for x in acc)
 
     def revert(self) -> "Series":
         """Compositional inverse of a delta series.
@@ -243,6 +307,13 @@ class Series:
         therefore gives h_n = -(sum_{k=2..n} f_k pw[k][n]) / f_1 in O(N**3)
         coefficient products.
 
+        Those products are integer ones.  Each column n of the table is held
+        as integer numerators over one denominator, the lcm of the
+        denominators its terms h_i pw[k-1][n-i] can have, and h_n is
+        normalised once.  A column denominator grows like the coefficients'
+        own; one denominator for the whole table would grow like its n-th
+        power.
+
         This route must stay independent of :meth:`compose`, ``__mul__`` and
         :func:`lagrange_extract`: the round trip compose(f, h) = t and the
         Lagrange formulas are the checks on it, and would stop checking
@@ -250,24 +321,26 @@ class Series:
         """
         as_delta(self)
         n_max = self.order
-        f = self._coeffs
-        inv_f1 = _ONE / f[1]
-        h = [_ZERO] * (n_max + 1)
-        h[1] = inv_f1
-        # pw[k] holds [t**m] h**k for m < n after column n - 1; pw[1] is h.
-        pw = [None, h] + [[_ZERO] * (n_max + 1) for _ in range(2, n_max + 1)]
+        f, d = _scaled(self._coeffs)
+        rf = f[:1:-1]  # f_N..f_2
+        h = [_ZERO, Fraction(d, f[1])]
+        # cols[m] holds pw[m][m], ..., pw[1][m] as numerators over den[m]:
+        # k descending, so that pw[1][m] = h_m goes on last
+        cols = [None, [h[1].numerator]]
+        den = [1, h[1].denominator]
         for n in range(2, n_max + 1):
-            acc = _ZERO
-            for k in range(2, n + 1):
-                prev = pw[k - 1]
-                s = _ZERO
-                for i in range(1, n - k + 2):
-                    if h[i] and prev[n - i]:
-                        s += h[i] * prev[n - i]
-                pw[k][n] = s
-                if f[k] and s:
-                    acc += f[k] * s
-            h[n] = -acc * inv_f1
+            # h_i pw[k-1][n-i] lies over h_i.denominator * den[n-i]
+            col = lcm(*(h[i].denominator * den[n - i] for i in range(1, n)))
+            # s = pw[n][n], ..., pw[2][n]; h_i times column n - i adds to
+            # pw[n-i+1][n], ..., pw[2][n], the last n - i entries of s
+            s = [0] * (n - 1)
+            for i in range(1, n):
+                w = h[i].numerator * (col // (h[i].denominator * den[n - i]))
+                s[i - 1:] = map(add, s[i - 1:], map(mul, repeat(w), cols[n - i]))
+            # f_1 h_n = -sum_{k>=2} f_k pw[k][n], and with f = F/d the d cancels
+            h.append(Fraction(-sum(map(mul, rf[n_max - n:], s)), f[1] * col))
+            den.append(_push(s, col, h[n]))
+            cols.append(s)
         return Series(h)
 
     # -- transcendental operations --------------------------------------------
@@ -277,30 +350,18 @@ class Series:
         f = self._coeffs
         if f[0] != 0:
             raise ValueError("exp requires zero constant term")
-        n_max = self.order
-        e = [_ONE] + [_ZERO] * n_max
-        for n in range(1, n_max + 1):
-            acc = _ZERO
-            for j in range(1, n + 1):
-                if f[j] and e[n - j]:
-                    acc += j * f[j] * e[n - j]
-            e[n] = acc / n
-        return Series(e)
+        f, d = _scaled(f)
+        # n e_n = sum_m m f_m e_{n-m}, and f = F/d
+        return Series(_ode_solve(f, _ONE, 1, 0, d))
 
     def log1p(self) -> "Series":
         """log(1 + f) for a series f with zero constant term."""
         f = self._coeffs
         if f[0] != 0:
             raise ValueError("log1p requires zero constant term")
-        n_max = self.order
-        out = [_ZERO] * (n_max + 1)
-        for n in range(1, n_max + 1):
-            acc = _ZERO
-            for k in range(1, n):
-                if out[k] and f[n - k]:
-                    acc += k * out[k] * f[n - k]
-            out[n] = f[n] - acc / n
-        return Series(out)
+        f, d = _scaled(f)
+        # n out_n = n f_n - sum_{m=1..n} (n - m) f_m out_{n-m}, times d
+        return Series(_ode_solve(f, _ZERO, 1, 1, d, f))
 
     def pow(self, gamma: Scalar) -> "Series":
         """f**gamma for rational gamma.
@@ -312,7 +373,6 @@ class Series:
         """
         g = _rat(gamma)
         f = self._coeffs
-        n_max = self.order
         if f[0] == 0:
             if g.denominator != 1 or g < 0:
                 raise ValueError(
@@ -324,19 +384,12 @@ class Series:
                 "non-integer power requires constant term 1 (result would be irrational)"
             )
         p0 = f[0] ** g if g.denominator == 1 else _ONE
-        out = [_ZERO] * (n_max + 1)
-        out[0] = p0
-        inv_f0 = _ONE / f[0]
-        for n in range(1, n_max + 1):
-            acc = _ZERO
-            for m in range(1, n + 1):
-                if f[m] and out[n - m]:
-                    acc += g * m * f[m] * out[n - m]
-            for m in range(1, n):
-                if out[m] and f[n - m]:
-                    acc -= m * out[m] * f[n - m]
-            out[n] = acc * inv_f0 / n
-        return Series(out)
+        # y = f**gamma solves n f_0 y_n = sum_m (gamma m - (n - m)) f_m y_{n-m}
+        # from y_0 = p0; times q d, with gamma = p/q and f = F/d, every
+        # coefficient of that recurrence is an integer.
+        big_f, _ = _scaled(f)
+        p, q = g.numerator, g.denominator
+        return Series(_ode_solve(big_f, p0, p + q, q, q * big_f[0]))
 
     __pow__ = pow
 
@@ -368,7 +421,9 @@ class Series:
 
 def as_delta(f: Series) -> Series:
     """Validate that f is a delta series (c0 = 0, c1 != 0) and return it."""
-    if f.order < 1 or f.coeffs[0] != 0:
+    if f.order < 1:
+        raise ValueError("expected a delta series: order must be >= 1")
+    if f.coeffs[0] != 0:
         raise ValueError("expected a delta series: constant term must vanish")
     if f.coeffs[1] == 0:
         raise ValueError("expected a delta series: linear coefficient must be nonzero")

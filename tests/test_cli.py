@@ -128,6 +128,27 @@ def test_series_order_zero_constant_term(capsys):
     assert json.loads(out)["egf_coefficients"] == [[0, "2"]]
 
 
+def test_series_prob_log_order_zero(capsys):
+    # the order-0 logarithm is read off the order-1 inverse: its constant is 0
+    code, out, _ = run(
+        capsys, "series", "--kind", "prob-log", "--rv", "poisson:alpha=2",
+        "--order", "0",
+    )
+    assert code == 0
+    assert json.loads(out)["egf_coefficients"] == [[0, "0"]]
+    assert prob_log(RandomVar.poisson(2), 0, 0).coeffs == (F(0),)
+
+
+def test_series_prob_log_order_zero_zero_mean_exits_3(capsys):
+    code, out, err = run(
+        capsys, "series", "--kind", "prob-log", "--rv", "custom:moments=1,0,1",
+        "--order", "0",
+    )
+    assert code == 3
+    assert out == ""
+    assert "E[Y] = 0" in err
+
+
 def test_series_order_env_default(capsys, monkeypatch):
     monkeypatch.setenv("PROBSTIRLING_ORDER", "5")
     code, out, _ = run(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probstirling import series as series_module
 from probstirling.series import (
     OrderMismatchError,
     Series,
@@ -156,10 +157,20 @@ def test_revert_mobius():
     assert fbar.compose(f) == Series.t(n)
 
 
-def test_revert_lambert_w_at_order_30():
+def test_revert_lambert_w_at_order_30(monkeypatch):
     # t e^t reverts to the Lambert W series, sum (-n)^(n-1) t^n / n!.
     n = 30
     f = Series.t(n) * Series.t(n).exp()
+
+    # revert must not lean on the routes that check it: the compose round
+    # trip and the Lagrange formulas.
+    def refuse(*args, **kwargs):
+        raise AssertionError("revert must not use this route")
+
+    monkeypatch.setattr(Series, "compose", refuse)
+    monkeypatch.setattr(Series, "__mul__", refuse)
+    monkeypatch.setattr(Series, "pow", refuse)
+    monkeypatch.setattr(series_module, "lagrange_extract", refuse)
     assert f.revert() == Series(
         [0] + [F((-m) ** (m - 1), factorial(m)) for m in range(1, n + 1)]
     )
@@ -172,6 +183,10 @@ def test_revert_requires_delta():
         Series([0, 0, 1]).revert()
     with pytest.raises(ValueError):
         as_delta(Series([0, 0, 1]))
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        as_delta(Series([0]))
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        Series([0]).revert()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,0 +1,335 @@
+"""The integer kernels of `Series` against plain `Fraction` loops, and fault
+injection into them (the route-independence guard on `revert` is the
+Lambert-W test in `test_series.py`).
+
+The reference functions below are the coefficient loops `Series` ran before
+its kernels moved to integer numerators over a common denominator.  They
+work on tuples of `Fraction`, one gcd per product and sum, and share no code
+with `probstirling.series`; every kernel must agree with them under `==`.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from probstirling import closedforms, prob, randomvars, special, verify
+from probstirling import series as series_module
+from probstirling.randomvars import RandomVar
+from probstirling.series import Series
+from probstirling.verify import identity_suite
+
+_ZERO, _ONE = F(0), F(1)
+
+
+# -- reference Fraction loops ----------------------------------------------------
+
+def ref_mul(a, b):
+    n = len(a) - 1
+    out = [_ZERO] * (n + 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j in range(n - i + 1):
+            if b[j]:
+                out[i + j] += ai * b[j]
+    return tuple(out)
+
+
+def ref_div(f, g):
+    n = len(f) - 1
+    inv_g0 = _ONE / g[0]
+    q = [_ZERO] * (n + 1)
+    for m in range(n + 1):
+        acc = f[m]
+        for i in range(m):
+            if q[i] and g[m - i]:
+                acc -= q[i] * g[m - i]
+        q[m] = acc * inv_g0
+    return tuple(q)
+
+
+def ref_exp(f):
+    n_max = len(f) - 1
+    e = [_ONE] + [_ZERO] * n_max
+    for n in range(1, n_max + 1):
+        acc = _ZERO
+        for j in range(1, n + 1):
+            if f[j] and e[n - j]:
+                acc += j * f[j] * e[n - j]
+        e[n] = acc / n
+    return tuple(e)
+
+
+def ref_log1p(f):
+    n_max = len(f) - 1
+    out = [_ZERO] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        acc = _ZERO
+        for k in range(1, n):
+            if out[k] and f[n - k]:
+                acc += k * out[k] * f[n - k]
+        out[n] = f[n] - acc / n
+    return tuple(out)
+
+
+def ref_pow(f, g):
+    n_max = len(f) - 1
+    if f[0] == 0:  # nonnegative integer power of a series with zero constant
+        if g == 0:
+            return (_ONE,) + (_ZERO,) * n_max
+        val = next((i for i, c in enumerate(f) if c), None)
+        if val is None or val * g > n_max:
+            return (_ZERO,) * (n_max + 1)
+        powered = ref_pow(f[val:], g)[: n_max - val * g + 1]
+        return (_ZERO,) * (val * g) + powered
+    p0 = f[0] ** g if g.denominator == 1 else _ONE
+    out = [_ZERO] * (n_max + 1)
+    out[0] = p0
+    inv_f0 = _ONE / f[0]
+    for n in range(1, n_max + 1):
+        acc = _ZERO
+        for m in range(1, n + 1):
+            if f[m] and out[n - m]:
+                acc += g * m * f[m] * out[n - m]
+        for m in range(1, n):
+            if out[m] and f[n - m]:
+                acc -= m * out[m] * f[n - m]
+        out[n] = acc * inv_f0 / n
+    return tuple(out)
+
+
+def ref_compose(f, g):
+    n = len(f) - 1
+    out = [f[0]] + [_ZERO] * n
+    val = next((i for i, c in enumerate(g) if c), n + 1)
+    power = (_ONE,) + (_ZERO,) * n
+    for k in range(1, n // val + 1):
+        power = ref_mul(power, g)
+        if f[k]:
+            for m in range(k * val, n + 1):
+                if power[m]:
+                    out[m] += f[k] * power[m]
+    return tuple(out)
+
+
+def ref_revert(f):
+    n_max = len(f) - 1
+    inv_f1 = _ONE / f[1]
+    h = [_ZERO] * (n_max + 1)
+    h[1] = inv_f1
+    pw = [None, h] + [[_ZERO] * (n_max + 1) for _ in range(2, n_max + 1)]
+    for n in range(2, n_max + 1):
+        acc = _ZERO
+        for k in range(2, n + 1):
+            prev = pw[k - 1]
+            s = _ZERO
+            for i in range(1, n - k + 2):
+                if h[i] and prev[n - i]:
+                    s += h[i] * prev[n - i]
+            pw[k][n] = s
+            if f[k] and s:
+                acc += f[k] * s
+        h[n] = -acc * inv_f1
+    return tuple(h)
+
+
+# -- strategies --------------------------------------------------------------------
+
+# about a third of the coefficients are zero, so the kernels' zero handling
+# and lcm bookkeeping see sparse series as well as dense ones
+coefficient = st.one_of(
+    st.just(_ZERO),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+orders = st.sampled_from([0, 1, 2, 3, 5, 9, 14])
+
+
+def coefficient_lists(order, constant=None, linear=None, valuation=0):
+    """order + 1 coefficients; `constant`/`linear` fix c0/c1 when given,
+    and the first `valuation` coefficients are zero."""
+    def build(cs):
+        cs = list(cs)
+        for i in range(min(valuation, order + 1)):
+            cs[i] = _ZERO
+        if constant is not None:
+            cs[0] = constant
+        if linear is not None and order >= 1:
+            cs[1] = linear
+        return tuple(cs)
+    return st.lists(coefficient, min_size=order + 1, max_size=order + 1).map(build)
+
+
+def pairs():
+    return orders.flatmap(
+        lambda n: st.tuples(coefficient_lists(n), coefficient_lists(n))
+    )
+
+
+nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+# -- kernels == reference --------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(pairs())
+def test_mul_matches_reference(ab):
+    a, b = ab
+    assert (Series(a) * Series(b)).coeffs == ref_mul(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(orders.flatmap(lambda n: st.tuples(
+    coefficient_lists(n), nonzero.flatmap(lambda c: coefficient_lists(n, constant=c)))))
+def test_div_matches_reference(fg):
+    f, g = fg
+    assert (Series(f) / Series(g)).coeffs == ref_div(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders.flatmap(lambda n: coefficient_lists(n, constant=_ZERO)))
+def test_exp_and_log1p_match_reference(f):
+    assert Series(f).exp().coeffs == ref_exp(f)
+    assert Series(f).log1p().coeffs == ref_log1p(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    orders.flatmap(lambda n: nonzero.flatmap(lambda c: coefficient_lists(n, constant=c))),
+    st.integers(min_value=-5, max_value=5),
+)
+def test_integer_pow_with_any_nonzero_constant_matches_reference(f, g):
+    # f0 != 1 in general, and negative exponents included
+    assert Series(f).pow(g).coeffs == ref_pow(f, F(g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    orders.flatmap(lambda n: coefficient_lists(n, constant=_ONE)),
+    st.fractions(min_value=-7, max_value=7, max_denominator=6),
+)
+def test_rational_pow_matches_reference(f, g):
+    assert Series(f).pow(g).coeffs == ref_pow(f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    orders.flatmap(lambda n: st.integers(1, 2).flatmap(
+        lambda v: coefficient_lists(n, constant=_ZERO, valuation=v))),
+    st.integers(min_value=0, max_value=4),
+)
+def test_integer_pow_of_zero_constant_matches_reference(f, g):
+    assert Series(f).pow(g).coeffs == ref_pow(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders.flatmap(lambda n: st.tuples(
+    coefficient_lists(n),
+    st.integers(1, 3).flatmap(lambda v: coefficient_lists(n, constant=_ZERO, valuation=v)),
+)))
+def test_compose_matches_reference(fg):
+    # inner valuations 1 to 3, and the zero inner series
+    f, g = fg
+    assert Series(f).compose(Series(g)).coeffs == ref_compose(f, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5, 9, 14]).flatmap(
+    lambda n: nonzero.flatmap(lambda c1: coefficient_lists(n, constant=_ZERO, linear=c1))))
+def test_revert_matches_reference(f):
+    assert Series(f).revert().coeffs == ref_revert(f)
+
+
+def test_kernels_at_order_zero():
+    c = Series([F(-3, 4)])
+    assert (c * c).coeffs == (F(9, 16),)
+    assert (c / c).coeffs == (_ONE,)
+    assert c.pow(-3).coeffs == (F(-64, 27),)
+    assert Series([_ZERO]).exp().coeffs == (_ONE,)
+    assert Series([_ZERO]).log1p().coeffs == (_ZERO,)
+    assert c.compose(Series([_ZERO])).coeffs == (F(-3, 4),)
+
+
+def test_kernels_match_reference_on_engine_series_at_order_30():
+    b = prob.bundle(RandomVar.gamma(F(3, 2), 2), F(-1, 3), 30)
+    m, delta, h = b.mgf.coeffs, b.delta.coeffs, b.reverted.coeffs
+    assert h == ref_revert(delta)
+    assert (b.mgf * b.reverted).coeffs == ref_mul(m, h)
+    assert (Series.one(30) / b.mgf).coeffs == ref_div((_ONE,) + (_ZERO,) * 30, m)
+    assert b.mgf.pow(F(-5, 2)).coeffs == ref_pow(m, F(-5, 2))
+    assert b.reverted.exp().coeffs == ref_exp(h)
+    assert b.reverted.log1p().coeffs == ref_log1p(h)
+    assert b.delta.compose(b.reverted).coeffs == ref_compose(delta, h)
+
+
+# -- safety net ------------------------------------------------------------------------
+
+def clear_module_caches():
+    for module in (series_module, special, prob, closedforms, verify, randomvars):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def bump_top(s):
+    """The same series with its top coefficient raised by 1/7."""
+    cs = list(s.coeffs)
+    cs[-1] += F(1, 7)
+    return Series(cs)
+
+
+def faulty_scaled(coeffs):
+    ints, d = _real_scaled(coeffs)
+    return [7 * x for x in ints[:-1]] + [7 * ints[-1] + d], 7 * d
+
+
+_real_scaled = series_module._scaled
+
+
+def faulty_method(name):
+    real = getattr(Series, name)
+
+    def perturbed(self, *args, **kwargs):
+        result = real(self, *args, **kwargs)
+        return bump_top(result) if isinstance(result, Series) else result
+    return perturbed
+
+
+# route -> what identity_suite(poisson(2), 1/2, 4) does with that route's
+# top output coefficient raised by 1/7: the bundle's round trip
+# compose(delta, revert(delta)) = t raises, or these records fail
+ROUTE_OUTCOMES = {
+    "_scaled": "round-trip assertion",
+    "__mul__": "round-trip assertion",
+    "revert": "round-trip assertion",
+    "pow": frozenset({
+        "bernoulli-double-sum", "bernoulli-from-shifted-bell",
+        "cauchy-bernoulli-ratio", "cauchy-from-first-kind",
+        "daehee-bernoulli-ratio", "daehee-from-first-kind",
+        "first-kind-order-bridge", "mgf-vs-moments",
+        "rising-second-kind-four-way", "second-kind-three-way",
+        "shifted-bell-vs-second-kind", "triangle-connections",
+    }),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_OUTCOMES))
+def test_fault_in_a_kernel_is_caught(route, monkeypatch):
+    clear_module_caches()
+    try:
+        if route == "_scaled":
+            monkeypatch.setattr(series_module, "_scaled", faulty_scaled)
+        else:
+            monkeypatch.setattr(Series, route, faulty_method(route))
+        expected = ROUTE_OUTCOMES[route]
+        if expected == "round-trip assertion":
+            with pytest.raises(AssertionError, match="reversion failed to invert"):
+                identity_suite(RandomVar.poisson(2), F(1, 2), 4)
+        else:
+            report = identity_suite(RandomVar.poisson(2), F(1, 2), 4)
+            failed = {r.identity for r in report.records if r.status == "fail"}
+            assert failed == expected
+    finally:
+        monkeypatch.undo()
+        clear_module_caches()
