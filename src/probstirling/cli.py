@@ -208,6 +208,8 @@ def _cmd_series(args) -> int:
     rv = parse_rv(args.rv)
     lam = parse_rational(args.lam)
     order = args.order if args.order is not None else _default_order()
+    if order < 0:
+        raise CliInputError("--order must be >= 0")
     gamma = parse_rational(args.gamma)
     x = parse_rational(args.x)
     if kind == "prob-log":

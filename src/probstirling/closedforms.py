@@ -447,14 +447,34 @@ def _nb_ak(p: Fraction, r: int, k: int, j: int) -> Fraction:
     return total
 
 
+# The second kind sums (p-1)^j a_k(j)/j! (j)_{n,lam} over j: the weights
+# depend on (p, r, k) and the falling-factorial column on (n, lam) only, so
+# each is built once per depth and shared by every entry that needs it.
+_NB_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_NB_CACHE_SIZE)
+def _nb_s2_weights(p: Fraction, r: int, k: int, depth: int) -> tuple:
+    """(p-1)^j a_k(j) / j! for j = 0..depth."""
+    return tuple(
+        (p - 1) ** j * _nb_ak(p, r, k, j) / factorial(j) for j in range(depth + 1)
+    )
+
+
+@lru_cache(maxsize=_NB_CACHE_SIZE)
+def _falling_column(n: int, lam: Fraction, depth: int) -> tuple:
+    """(j)_{n,lam} for j = 0..depth."""
+    return tuple(falling_factorial(j, n, lam) for j in range(depth + 1))
+
+
 def _nb_s2(p: Fraction, r: int, lam: Fraction,
            n: int, k: int, depth: int) -> NumericResult:
     """Exact partial sums to depth and to depth - 5, in one pass."""
     total = short = _ZERO
-    for j in range(depth + 1):
-        a = _nb_ak(p, r, k, j)
-        if a:
-            total += (p - 1) ** j * falling_factorial(j, n, lam) * a / factorial(j)
+    terms = zip(_nb_s2_weights(p, r, k, depth), _falling_column(n, lam, depth))
+    for j, (weight, falling) in enumerate(terms):
+        if weight:
+            total += weight * falling
         if j == depth - 5:
             short = total
     return NumericResult.from_partials(total, short, depth)

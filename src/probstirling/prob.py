@@ -196,6 +196,8 @@ def prob_triangle(rv: RandomVar, lam: Scalar, family: str, nmax: int) -> Triangl
     family "s1": the same for the compositional inverse (needs E[Y] != 0);
     families "h" / "g": the s2 / s1 constructions at -lam.
     """
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     return _prob_triangle_cached(rv, _rat(lam), family, nmax)
 
 
@@ -244,6 +246,8 @@ def prob_order_numbers(rv: RandomVar, lam: Scalar, gamma: Scalar, x: Scalar,
     degenerate logarithm (x must be 0 there).  Non-integer gamma is accepted
     only when E[Y] = 1.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     lam = _rat(lam)
     if family == "bernoulli":
         return bernoulli_from_mgf(mgf_deg(rv, lam, order + 1), gamma, x)
@@ -258,6 +262,8 @@ def prob_log(rv: RandomVar, lam: Scalar, order: int) -> Series:
     Reversion needs the linear coefficient, so order 0 is read off the
     order-1 inverse (still refused when E[Y] = 0).
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     return bundle(rv, _rat(lam), max(order, 1)).reverted.truncate(order)
 
 

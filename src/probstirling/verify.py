@@ -21,7 +21,7 @@ have not stabilized at the configured depth.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from math import factorial
@@ -468,6 +468,87 @@ _EXACT_CLOSED_FORMS = (
     "normal", "uniform01",
 )
 
+# bounds on the caches shared by every identity_suite run; the first is at
+# least len(DEFAULT_LAMBDA_GRID), so `verify --all-builtin` reuses every entry
+_LAM_ONLY_CACHE_SIZE = 4 * len(DEFAULT_LAMBDA_GRID)
+_DOUBLE_SUM_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_LAM_ONLY_CACHE_SIZE)
+def _lam_only_records(lam: Fraction, nmax: int) -> tuple:
+    """The identity_suite records that involve no random variable, rv "-".
+
+    The deterministic first-kind/Bernoulli and second-kind/Cauchy bridges,
+    the triangle connections and the binomial-sum identities depend on
+    (lam, nmax) only, so every distribution shares one evaluation.
+    """
+    det_t1 = triangle("s1", lam, nmax)
+    det_t2 = triangle("s2", lam, nmax)
+    det_h = triangle("h", lam, nmax)
+    det_lah = triangle("lah", _ZERO, nmax)
+    e_delta = deg_exp(lam, 1, nmax + 1) - Series.one(nmax + 1)
+
+    def first_kind_order_bridge():
+        for n in range(1, nmax + 1):
+            bern_n = order_numbers(lam, n, 0, "bernoulli", nmax)
+            for k in range(n + 1):
+                lhs = det_t1.value(n, k)
+                yield (n, k, 1), lhs, binom(n - 1, k - 1) * bern_n.egf(n - k)
+                if k >= 1:
+                    extracted = lagrange_extract(None, e_delta, n, k, "B")
+                    yield (n, k, 2), lhs, extracted * Fraction(
+                        factorial(n), factorial(k)
+                    )
+
+    def second_kind_cauchy_bridge():
+        for n in range(1, nmax + 1):
+            cau_pos = order_numbers(lam, n, 0, "cauchy", nmax)
+            cau_neg = order_numbers(-lam, n, 0, "cauchy", nmax)
+            for k in range(n + 1):
+                yield (n, k, 1), det_h.value(n, k), binom(n - 1, k - 1) * cau_neg.egf(n - k)
+                yield (n, k, 2), det_t2.value(n, k), binom(n - 1, k - 1) * cau_pos.egf(n - k)
+
+    det_s1c = stirling1_oracle(nmax)
+    det_s2c = stirling2_oracle(nmax)
+
+    def triangle_connections():
+        for n in range(nmax + 1):
+            for k in range(n + 1):
+                rhs = _ZERO
+                for l in range(k, n + 1):
+                    term = det_s2c[l][k] * det_s1c[n][l] * lam ** (n - l)
+                    rhs += -term if (n - l) % 2 else term
+                yield (n, k, 1), det_h.value(n, k), rhs
+                rhs2 = _ZERO
+                for l in range(k, n + 1):
+                    term = det_t1.value(n, l) * det_h.value(l, k)
+                    rhs2 += -term if (n - l) % 2 else term
+                yield (n, k, 2), det_lah.value(n, k), rhs2
+
+    return tuple(
+        _exact_record(identity, "-", lam, nmax, pairs)
+        for identity, pairs in (
+            ("first-kind-order-bridge", first_kind_order_bridge()),
+            ("second-kind-cauchy-bridge", second_kind_cauchy_bridge()),
+            ("triangle-connections", triangle_connections()),
+            ("binomial-sum-identities", eq_identities_pass(min(nmax, 14))),
+        )
+    )
+
+
+@lru_cache(maxsize=_DOUBLE_SUM_CACHE_SIZE)
+def _double_sum_weights(gamma: int, n: int) -> tuple:
+    """The distribution-free part of bernoulli-double-sum: the nonzero
+    (j, (-1)^j sum_{k=j..n} C(gamma+k-1, k) C(k, j) / C(n+j, j))."""
+    weights = []
+    for j in range(n + 1):
+        w = sum(
+            (binom(gamma + k - 1, k) * binom(k, j) for k in range(j, n + 1)), _ZERO
+        ) / binom(n + j, j)
+        if w:
+            weights.append((j, -w if j % 2 else w))
+    return tuple(weights)
+
 
 def identity_suite(rv: RandomVar, lam, nmax: int,
                    gammas: Sequence[int] = DEFAULT_GAMMAS,
@@ -481,6 +562,11 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     forms.
     `moment_perturbation = (index, delta)` shifts one textbook-oracle moment
     and exists as a fault-injection hook for negative-control tests.
+
+    The records that involve no random variable (the deterministic bridges,
+    the triangle connections and the binomial-sum identities) are evaluated
+    once per (lam, nmax) and shared across distributions: each suite gets a
+    copy carrying its own rv, so a failure among them shows in every suite.
     """
     lam = _rat(lam)
     if nmax < 1:
@@ -512,6 +598,10 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     @cache
     def neg_beta(gamma: int) -> Series:
         return bernoulli_from_mgf(mgf_deg_neg(rv, lam, nmax + 1), gamma)
+
+    @cache
+    def mean_power(exponent: int) -> Fraction:
+        return mean**exponent
 
     falling_moments = [sj_moment(rv, lam, 1, i) for i in range(nmax + 2)]
     rising_moments = [sj_moment(rv, -lam, 1, i) for i in range(nmax + 1)]
@@ -637,15 +727,14 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     # higher-order Bernoulli numbers from the shifted Bell polynomials
     def bernoulli_from_bell():
         for gamma in gammas:
+            weights = [
+                falling_factorial(-gamma, k, 1) * mean_power(-gamma - k)
+                for k in range(nmax + 1)
+            ]
             for n in range(nmax + 1):
                 lhs = beta(gamma).egf(n)
                 rhs = sum(
-                    (
-                        falling_factorial(-gamma, k, 1)
-                        * mean ** (-gamma - k)
-                        * shifted_args_bell.value(n, k)
-                        for k in range(n + 1)
-                    ),
+                    (weights[k] * shifted_args_bell.value(n, k) for k in range(n + 1)),
                     _ZERO,
                 )
                 yield (gamma, n), lhs, rhs
@@ -657,14 +746,13 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
         for gamma in gammas:
             for n in range(nmax + 1):
                 lhs = beta(gamma).egf(n)
-                rhs = _ZERO
-                for k in range(n + 1):
-                    for j in range(k + 1):
-                        c = binom(gamma + k - 1, k) * binom(k, j) / binom(n + j, j)
-                        if not c:
-                            continue
-                        term = c * mean ** (-gamma - j) * t2big.value(n + j, j)
-                        rhs += -term if j % 2 else term
+                rhs = sum(
+                    (
+                        w * mean_power(-gamma - j) * t2big.value(n + j, j)
+                        for j, w in _double_sum_weights(gamma, n)
+                    ),
+                    _ZERO,
+                )
                 yield (gamma, n), lhs, rhs
 
     rec(_exact_record("bernoulli-double-sum", desc, lam, nmax, bernoulli_double_sum()))
@@ -686,7 +774,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
             for j in range(n):
                 c = binom(2 * n - 1, n - 1 - j)
                 if c:
-                    term = c * mean ** (-(n + j)) * t2big.value(n - 1 + j, j)
+                    term = c * mean_power(-(n + j)) * t2big.value(n - 1 + j, j)
                     total += -term if j % 2 else term
             yield (n,), log_series.egf(n), total
 
@@ -727,58 +815,10 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
         rec(_exact_record(f"{family}-bernoulli-ratio", desc, lam, nmax,
                           order_ratio(family, sign)))
 
-    # deterministic bridges at this lam: first-kind/Bernoulli and second-kind/Cauchy
-    det_t1 = triangle("s1", lam, nmax)
-    det_t2 = triangle("s2", lam, nmax)
-    det_h = triangle("h", lam, nmax)
-    det_lah = triangle("lah", _ZERO, nmax)
-    e_delta = deg_exp(lam, 1, nmax + 1) - Series.one(nmax + 1)
-
-    def first_kind_order_bridge():
-        for n in range(1, nmax + 1):
-            bern_n = order_numbers(lam, n, 0, "bernoulli", nmax)
-            for k in range(n + 1):
-                lhs = det_t1.value(n, k)
-                yield (n, k, 1), lhs, binom(n - 1, k - 1) * bern_n.egf(n - k)
-                if k >= 1:
-                    extracted = lagrange_extract(None, e_delta, n, k, "B")
-                    yield (n, k, 2), lhs, extracted * Fraction(
-                        factorial(n), factorial(k)
-                    )
-
-    rec(_exact_record("first-kind-order-bridge", desc, lam, nmax, first_kind_order_bridge()))
-
-    def second_kind_cauchy_bridge():
-        for n in range(1, nmax + 1):
-            cau_pos = order_numbers(lam, n, 0, "cauchy", nmax)
-            cau_neg = order_numbers(-lam, n, 0, "cauchy", nmax)
-            for k in range(n + 1):
-                yield (n, k, 1), det_h.value(n, k), binom(n - 1, k - 1) * cau_neg.egf(n - k)
-                yield (n, k, 2), det_t2.value(n, k), binom(n - 1, k - 1) * cau_pos.egf(n - k)
-
-    rec(_exact_record("second-kind-cauchy-bridge", desc, lam, nmax, second_kind_cauchy_bridge()))
-
-    det_s1c = stirling1_oracle(nmax)
-    det_s2c = stirling2_oracle(nmax)
-
-    def triangle_connections():
-        for n in range(nmax + 1):
-            for k in range(n + 1):
-                rhs = _ZERO
-                for l in range(k, n + 1):
-                    term = det_s2c[l][k] * det_s1c[n][l] * lam ** (n - l)
-                    rhs += -term if (n - l) % 2 else term
-                yield (n, k, 1), det_h.value(n, k), rhs
-                rhs2 = _ZERO
-                for l in range(k, n + 1):
-                    term = det_t1.value(n, l) * det_h.value(l, k)
-                    rhs2 += -term if (n - l) % 2 else term
-                yield (n, k, 2), det_lah.value(n, k), rhs2
-
-    rec(_exact_record("triangle-connections", desc, lam, nmax, triangle_connections()))
-
-    rec(_exact_record("binomial-sum-identities", desc, lam, nmax,
-                      eq_identities_pass(min(nmax, 14))))
+    # records shared by every distribution at this (lam, nmax), see above
+    report.records.extend(
+        replace(record, rv=desc) for record in _lam_only_records(lam, nmax)
+    )
 
     # distribution-specific closed forms: exact for every named distribution
     # but the negative binomial, whose depth-truncated triangles compare
@@ -818,12 +858,15 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     # point mass at 1 must reduce every family to its deterministic counterpart
     if rv.kind == "pointmass" and rv.param("c") == 1:
         def reduction():
+            det_t1, det_t2, det_h, det_g = (
+                triangle(family, lam, nmax) for family in ("s1", "s2", "h", "g")
+            )
             for n in range(nmax + 1):
                 for k in range(n + 1):
                     yield (n, k, 1), t1.value(n, k), det_t1.value(n, k)
                     yield (n, k, 2), t2big.value(n, k), det_t2.value(n, k)
                     yield (n, k, 3), thbig.value(n, k), det_h.value(n, k)
-                    yield (n, k, 4), tg.value(n, k), triangle("g", lam, nmax).value(n, k)
+                    yield (n, k, 4), tg.value(n, k), det_g.value(n, k)
             det_log = deg_log(lam, nmax)
             for n in range(nmax + 1):
                 yield (n, 0, 5), log_series.egf(n), det_log.egf(n)

@@ -76,6 +76,17 @@ def test_table_csv_format(capsys):
     assert "4,2,36" in lines
 
 
+@pytest.mark.parametrize("family", ["s1", "prob-s1"])
+def test_table_negative_nmax_is_domain_error(capsys, family):
+    code, out, err = run(
+        capsys, "table", "--family", family, "--rv", "poisson:alpha=2",
+        "--nmax", "-1",
+    )
+    assert code == 3
+    assert out == ""
+    assert "nmax must be >= 0" in err
+
+
 def test_table_unknown_family_is_domain_error(capsys):
     code, _, err = run(capsys, "table", "--family", "nope", "--nmax", "2")
     assert code == 3
@@ -157,6 +168,16 @@ def test_series_order_env_default(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["order"] == 5
+
+
+@pytest.mark.parametrize("kind", ["prob-log", "bernoulli", "daehee", "cauchy"])
+def test_series_negative_order_exits_2(capsys, kind):
+    code, out, err = run(
+        capsys, "series", "--kind", kind, "--rv", "poisson:alpha=2", "--order", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--order must be >= 0" in err
 
 
 def test_series_malformed_rational_exits_2(capsys):

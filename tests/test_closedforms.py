@@ -1,13 +1,20 @@
 """Printed distribution formulas against the reversion-based engine."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 from probstirling.cli import main
-from probstirling.closedforms import NumericResult, closed_form, uniform_first_kind
+from probstirling.closedforms import (
+    NumericResult,
+    _nb_ak,
+    closed_form,
+    uniform_first_kind,
+)
 from probstirling.prob import prob_log, prob_triangle
 from probstirling.randomvars import RandomVar
+from probstirling.special import falling_factorial
 from probstirling.verify import identity_suite
 
 LAM = F(1, 2)
@@ -128,6 +135,33 @@ def test_negbinomial_partial_sums_are_pinned(rv):
     for (lam, family, n, k, depth), (hex_value, stabilized) in NB_PINS[rv].items():
         result = closed_form(rv, lam, family, n, k, depth)
         assert result == NumericResult(float.fromhex(hex_value), depth, stabilized)
+
+
+def reference_nb_s2(p, r, lam, n, k, depth):
+    """The negative-binomial second kind summed term by term, each weight
+    (p-1)^j a_k(j)/j! and falling factorial (j)_{n,lam} built in place."""
+    total = short = F(0)
+    for j in range(depth + 1):
+        a = _nb_ak(p, r, k, j)
+        if a:
+            total += (p - 1) ** j * falling_factorial(j, n, lam) * a / factorial(j)
+        if j == depth - 5:
+            short = total
+    return NumericResult.from_partials(total, short, depth)
+
+
+@pytest.mark.parametrize(
+    "r, p", [(2, F(1, 2)), (3, F(1, 3))], ids=["r2-p1/2", "r3-p1/3"]
+)
+def test_negbinomial_second_kind_matches_the_term_by_term_sum(r, p):
+    rv = RandomVar.negbinomial(r, p)
+    for lam in (F(0), F(1, 2), F(-1, 3)):
+        for depth in (10, 12, 60, 100):
+            for n in range(9):
+                for k in range(n + 1):
+                    assert closed_form(rv, lam, "s2", n, k, depth) == reference_nb_s2(
+                        p, r, lam, n, k, depth
+                    ), (lam, depth, n, k)
 
 
 @pytest.mark.parametrize(

@@ -315,6 +315,17 @@ def test_parameter_ranges():
     RandomVar.binomial(3, 1)
 
 
+def test_negative_sizes_are_refused():
+    rv = RandomVar.poisson(2)
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        prob_triangle(rv, F(1, 2), "s1", -1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        prob_log(rv, F(1, 2), -1)
+    for family in ("bernoulli", "daehee", "cauchy"):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            prob_order_numbers(rv, F(1, 2), 1, 0, family, -1)
+
+
 def test_log_of_product_scalar_rule():
     # log_lam(a b) = a**lam log_lam(b) + log_lam(a), exact for integer lam
     def log_lam(x, lam):

@@ -8,6 +8,7 @@ import pytest
 from probstirling import verify
 from probstirling.prob import prob_triangle, sj_moment
 from probstirling.randomvars import RandomVar
+from probstirling.series import Series
 from probstirling.special import triangle
 from probstirling.verify import (
     check_orthogonality,
@@ -24,6 +25,7 @@ from probstirling.verify import (
     stirling2_oracle,
     sum_power_moment,
 )
+from test_series_kernels import clear_module_caches
 
 LAM = F(1, 3)
 
@@ -157,6 +159,71 @@ def test_identity_suite_builds_each_daehee_cauchy_series_once(monkeypatch):
     assert not report.failed
     assert len(calls) == 16
     assert len(set(calls)) == 16
+
+
+LAM_ONLY = (
+    "first-kind-order-bridge", "second-kind-cauchy-bridge",
+    "triangle-connections", "binomial-sum-identities",
+)
+
+
+def lam_only(report):
+    return [r for r in report.records if r.identity in LAM_ONLY]
+
+
+def test_lam_only_records_are_shared_across_distributions(monkeypatch):
+    calls = []
+    for name in ("order_numbers", "lagrange_extract"):
+        def counting(*args, _name=name, _original=getattr(verify, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(verify, name, counting)
+    clear_module_caches()
+    first = identity_suite(RandomVar.poisson(2), F(1, 2), 4)
+    assert set(calls) == {"order_numbers", "lagrange_extract"}
+    calls.clear()
+    rv = RandomVar.geometric(F(1, 3))
+    shared = identity_suite(rv, F(1, 2), 4)
+    assert calls == []
+    monkeypatch.undo()
+    clear_module_caches()
+    cold = identity_suite(rv, F(1, 2), 4)
+    assert [r.identity for r in lam_only(shared)] == list(LAM_ONLY)
+    assert [dataclasses.asdict(r) for r in lam_only(shared)] == [
+        dataclasses.asdict(r) for r in lam_only(cold)
+    ]
+    assert {r.rv for r in lam_only(shared)} == {rv.describe()}
+    assert {r.rv for r in lam_only(first)} == {"poisson(alpha=2)"}
+
+
+def test_fault_in_a_shared_record_fails_every_suite(monkeypatch):
+    # bumps the highest coefficient the bridges read: t^(nmax-1) of a series
+    # truncated at nmax (t^nmax only ever meets the factor C(n-1, -1) = 0)
+    real = verify.order_numbers
+
+    def perturbed(*args):
+        cs = list(real(*args).coeffs)
+        cs[-2] += F(1, 7)
+        return Series(cs)
+
+    rvs = (RandomVar.poisson(2), RandomVar.geometric(F(1, 3)), RandomVar.uniform01())
+    clear_module_caches()
+    monkeypatch.setattr(verify, "order_numbers", perturbed)
+    try:
+        bridges = []
+        for rv in rvs:
+            report = identity_suite(rv, F(1, 2), 4)
+            bridge = next(
+                r for r in report.records if r.identity == "first-kind-order-bridge"
+            )
+            assert bridge.status == "fail", rv.describe()
+            assert bridge.rv == rv.describe()
+            bridges.append(dataclasses.replace(bridge, rv="-"))
+        assert bridges == [bridges[0]] * len(rvs)
+    finally:
+        monkeypatch.undo()
+        clear_module_caches()
 
 
 def test_report_serialization():
