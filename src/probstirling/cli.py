@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -21,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .prob import prob_log, prob_order_numbers, prob_triangle
-from .randomvars import RandomVar, builtin_random_vars
+from .randomvars import SAMPLABLE_KINDS, RandomVar, builtin_random_vars
 from .special import TRIANGLE_FAMILIES, Triangle, triangle
 from .verify import (
     DEFAULT_GAMMAS,
@@ -38,6 +39,7 @@ _DEFAULT_ORDER = 32
 
 _PROB_FAMILIES = ("prob-s1", "prob-s2", "prob-h", "prob-g")
 _SERIES_KINDS = ("prob-log", "bernoulli", "daehee", "cauchy")
+_INTEGER_PARAMS = ("m", "r")
 
 
 class CliInputError(ValueError):
@@ -73,39 +75,15 @@ def parse_rv(text: str) -> RandomVar:
                 raise CliInputError(f"malformed parameter {piece!r} in rv spec")
             params[key.strip().lower()] = parse_rational(value)
 
-    def need(*names):
-        missing = [p for p in names if p not in params]
-        extra = [p for p in params if p not in names]
-        if missing or extra:
-            raise CliInputError(
-                f"{name} takes parameters {names}, got {tuple(params)}"
-            )
-        return [params[p] for p in names]
-
-    if name == "bernoulli":
-        return RandomVar.bernoulli(*need("p"))
-    if name == "binomial":
-        m, p = need("m", "p")
-        return RandomVar.binomial(_as_int(m, "m"), p)
-    if name == "poisson":
-        return RandomVar.poisson(*need("alpha"))
-    if name == "exponential":
-        return RandomVar.exponential(*need("alpha"))
-    if name == "gamma":
-        return RandomVar.gamma(*need("alpha", "beta"))
-    if name == "geometric":
-        return RandomVar.geometric(*need("p"))
-    if name == "normal":
-        return RandomVar.normal(*need("mu", "sigma2"))
-    if name == "negbinomial":
-        r, p = need("r", "p")
-        return RandomVar.negbinomial(_as_int(r, "r"), p)
-    if name == "uniform01":
-        need()
-        return RandomVar.uniform01()
-    if name == "pointmass":
-        return RandomVar.pointmass(*need("c"))
-    raise CliInputError(f"unknown random variable {name!r}")
+    if name not in SAMPLABLE_KINDS:
+        raise CliInputError(f"unknown random variable {name!r}")
+    constructor = getattr(RandomVar, name)
+    names = tuple(inspect.signature(constructor).parameters)
+    if set(params) != set(names):
+        raise CliInputError(f"{name} takes parameters {names}, got {tuple(params)}")
+    return constructor(*(
+        _as_int(params[p], p) if p in _INTEGER_PARAMS else params[p] for p in names
+    ))
 
 
 def _as_int(value: Fraction, name: str) -> int:
@@ -147,22 +125,11 @@ def triangle_to_dict(t: Triangle) -> dict:
     }
 
 
-def _triangle_csv(t: Triangle) -> str:
+def _csv(header: list, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "k", "value"])
-    for n in range(t.nmax + 1):
-        for k in range(n + 1):
-            writer.writerow([n, k, str(t.value(n, k))])
-    return buf.getvalue()
-
-
-def _series_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "value"])
-    for n, value in rows:
-        writer.writerow([n, value])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -195,7 +162,7 @@ def _cmd_table(args) -> int:
     else:
         raise ValueError(f"unknown table family {args.family!r}")
     if args.format == "csv":
-        _emit(_triangle_csv(t), args.output)
+        _emit(_csv(["n", "k", "value"], triangle_to_dict(t)["entries"]), args.output)
     else:
         _emit_json(triangle_to_dict(t), args.output)
     return 0
@@ -218,7 +185,7 @@ def _cmd_series(args) -> int:
         series = prob_order_numbers(rv, lam, gamma, x, kind, order)
     rows = [[n, str(series.egf(n))] for n in range(order + 1)]
     if args.format == "csv":
-        _emit(_series_csv(rows), args.output)
+        _emit(_csv(["n", "value"], rows), args.output)
         return 0
     payload = {
         "kind": kind,

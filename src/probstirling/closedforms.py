@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import factorial
 
 from .randomvars import RandomVar
-from .series import Scalar, Series, _rat
+from .series import CACHE_BOUND, Scalar, Series, _rat
 from .special import (
     binom,
     deg_log,
@@ -85,11 +85,6 @@ class NumericResult:
 def _tab(family: str, lam: Fraction, need: int):
     bucket = max(10, ((need + 29) // 30) * 30)
     return triangle(family, lam, bucket)
-
-
-@lru_cache(maxsize=None)
-def _fe_series(lam: Fraction, r: int, u: Fraction, order: int) -> Series:
-    return frobenius_euler(lam, r, u, order)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +149,7 @@ def _s2_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
         total = _ZERO
         for j in range(k + 1):
             sign = -1 if j % 2 else 1
-            total += sign * binom(k, j) * _fe_series(lam, j, u, n).egf(n)
+            total += sign * binom(k, j) * frobenius_euler(lam, j, u, n).egf(n)
         return total * (1 / (p - 1)) ** k / factorial(k)
     if kind == "normal":
         mu, sigma2 = rv.param("mu"), rv.param("sigma2")
@@ -283,7 +278,7 @@ def _deg_log_of_unit(r: Series, lam: Fraction) -> Series:
     return (r.pow(lam) - Series.one(order)) / lam
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def _log_series(rv: RandomVar, lam: Fraction, order: int) -> Series:
     kind = rv.kind
     one, t = Series.one(order), Series.t(order)
@@ -332,7 +327,7 @@ def _log_value(rv: RandomVar, lam: Fraction, n: int) -> Fraction:
 # Gamma and normal: printed as infinite sums, exactly 0 past index n
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def _gamma_inner(alpha: Fraction, n: int, l: int) -> Fraction:
     total = _ZERO
     for j in range(l + 1):
@@ -361,7 +356,7 @@ def _gamma_s1(alpha: Fraction, beta: Fraction, lam: Fraction,
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def _normal_v(j: int, m: int) -> Fraction:
     """Alternating inner sum over l of C(j,l) (l/2)_m."""
     total = _ZERO
@@ -371,7 +366,7 @@ def _normal_v(j: int, m: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def _normal_w(mu: Fraction, sigma2: Fraction, lam: Fraction,
               k: int, m: int) -> Fraction:
     # _normal_v(j, m) is the j-th finite difference of the degree-m polynomial
@@ -425,7 +420,7 @@ def _normal_log(mu: Fraction, sigma2: Fraction, lam: Fraction, n: int) -> Fracti
 # Negative binomial: genuinely infinite, partial sums at depth - 5 and depth
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def _nb_inner2(p: Fraction, r: int, k: int, m: int) -> Fraction:
     s2c = _tab("s2", _ZERO, m)
     total = _ZERO
@@ -436,7 +431,7 @@ def _nb_inner2(p: Fraction, r: int, k: int, m: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def _nb_ak(p: Fraction, r: int, k: int, j: int) -> Fraction:
     s1c = _tab("s1", _ZERO, j)
     total = _ZERO
@@ -450,10 +445,7 @@ def _nb_ak(p: Fraction, r: int, k: int, j: int) -> Fraction:
 # The second kind sums (p-1)^j a_k(j)/j! (j)_{n,lam} over j: the weights
 # depend on (p, r, k) and the falling-factorial column on (n, lam) only, so
 # each is built once per depth and shared by every entry that needs it.
-_NB_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_NB_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_BOUND)
 def _nb_s2_weights(p: Fraction, r: int, k: int, depth: int) -> tuple:
     """(p-1)^j a_k(j) / j! for j = 0..depth."""
     return tuple(
@@ -461,7 +453,7 @@ def _nb_s2_weights(p: Fraction, r: int, k: int, depth: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=_NB_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_BOUND)
 def _falling_column(n: int, lam: Fraction, depth: int) -> tuple:
     """(j)_{n,lam} for j = 0..depth."""
     return tuple(falling_factorial(j, n, lam) for j in range(depth + 1))
@@ -480,7 +472,7 @@ def _nb_s2(p: Fraction, r: int, lam: Fraction,
     return NumericResult.from_partials(total, short, depth)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def _deg_log_power(lam: Fraction, nmax: int, l: int) -> Series:
     """deg_log(lam)**l to order nmax, built from the (l-1)-th power."""
     if l == 0:
@@ -490,7 +482,7 @@ def _deg_log_power(lam: Fraction, nmax: int, l: int) -> Series:
     return _deg_log_power(lam, nmax, l - 1) * _deg_log_power(lam, nmax, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def _nb_s1_inners(p: Fraction, r: int, lam: Fraction, n: int, depth: int) -> tuple:
     """For l = 0..n, the exact inner sums over m to depth and to depth - 5."""
     nmax = ((depth + 29) // 30) * 30  # one power table for nearby depths
@@ -533,13 +525,13 @@ def _nb_s1(p: Fraction, r: int, lam: Fraction,
 # Uniform first kind: multinomial convolution over Bernoulli-Pade numbers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def _a2_values(nmax: int) -> tuple:
     series = bernoulli_pade_a2(nmax)
     return tuple(series.egf(i) for i in range(nmax + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def _uni_m(parts: int, m: int) -> Fraction:
     """Sum over compositions of m into `parts` parts of multinomial * A2 products."""
     if parts == 0:
@@ -553,7 +545,7 @@ def _uni_m(parts: int, m: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def _uni_t(parts: int, s: int) -> Fraction:
     """Sum over compositions of s into `parts` parts of multinomial / prod(l_i + 1)."""
     if parts == 0:

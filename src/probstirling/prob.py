@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .randomvars import RandomVar
-from .series import Scalar, Series, _rat
+from .series import CACHE_BOUND, Scalar, Series, _rat
 from .special import (
     Triangle,
     bernoulli_from_mgf,
@@ -57,6 +57,7 @@ _ONE = Fraction(1)
 # Degenerate moment generating functions
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=CACHE_BOUND, typed=True)
 def mgf_deg(rv: RandomVar, lam: Scalar, order: int) -> Series:
     """Exact series of E[(1 + lam t)^(Y/lam)] to the given order.
 
@@ -64,11 +65,9 @@ def mgf_deg(rv: RandomVar, lam: Scalar, order: int) -> Series:
     operations; the custom distribution expands degenerate falling-factorial
     moments in terms of the supplied raw moments.
     """
-    return _mgf_cached(rv, _rat(lam), order)
-
-
-@lru_cache(maxsize=None)
-def _mgf_cached(rv: RandomVar, lam: Fraction, order: int) -> Series:
+    lam = _rat(lam)
+    if order < 0:
+        raise ValueError("order must be >= 0")
     kind = rv.kind
     one = Series.one(order)
     if kind == "bernoulli":
@@ -117,7 +116,7 @@ def _mgf_cached(rv: RandomVar, lam: Fraction, order: int) -> Series:
             raise ValueError(
                 f"custom spec provides {len(rv.moments)} moments, need {order + 1}"
             )
-        s1 = triangle("s1", 0, order)
+        s1 = triangle("s1", _ZERO, order)
         egf = []
         for n in range(order + 1):
             total = _ZERO
@@ -144,7 +143,7 @@ def moment(rv: RandomVar, n: int) -> Fraction:
     """Raw moment E[Y^n], read off the lam = 0 moment series."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return mgf_deg(rv, 0, n).egf(n)
+    return mgf_deg(rv, _ZERO, n).egf(n)
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +162,16 @@ class ProbBundle:
     reverted: Series
 
 
+@lru_cache(maxsize=CACHE_BOUND, typed=True)
 def bundle(rv: RandomVar, lam: Scalar, order: int) -> ProbBundle:
     """Build (and cache) the mgf / delta / reverted triple for (rv, lam).
 
     Requires E[Y] != 0, otherwise mgf - 1 has no compositional inverse.
     The round trip compose(delta, reverted) = t is asserted on construction.
     """
-    return _bundle_cached(rv, _rat(lam), order)
-
-
-@lru_cache(maxsize=None)
-def _bundle_cached(rv: RandomVar, lam: Fraction, order: int) -> ProbBundle:
+    lam = _rat(lam)
+    if order < 0:
+        raise ValueError("order must be >= 0")
     m = mgf_deg(rv, lam, order)
     delta = m - Series.one(order)
     if order >= 1 and delta.coeff(1) == 0:
@@ -189,6 +187,7 @@ def _bundle_cached(rv: RandomVar, lam: Fraction, order: int) -> ProbBundle:
 _PROB_FAMILIES = ("s2", "s1", "h", "g")
 
 
+@lru_cache(maxsize=CACHE_BOUND, typed=True)
 def prob_triangle(rv: RandomVar, lam: Scalar, family: str, nmax: int) -> Triangle:
     """Probabilistic triangle for Y: second/first kind and their -lam variants.
 
@@ -196,14 +195,9 @@ def prob_triangle(rv: RandomVar, lam: Scalar, family: str, nmax: int) -> Triangl
     family "s1": the same for the compositional inverse (needs E[Y] != 0);
     families "h" / "g": the s2 / s1 constructions at -lam.
     """
+    lam = _rat(lam)
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    return _prob_triangle_cached(rv, _rat(lam), family, nmax)
-
-
-@lru_cache(maxsize=None)
-def _prob_triangle_cached(rv: RandomVar, lam: Fraction, family: str,
-                          nmax: int) -> Triangle:
     if family not in _PROB_FAMILIES:
         raise ValueError(f"unknown probabilistic triangle family {family!r}")
     params = (("rv", rv.describe()),)
@@ -228,7 +222,7 @@ def sj_moment(rv: RandomVar, lam: Scalar, j: int, n: int) -> Fraction:
     return _mgf_power(rv, _rat(lam), j, n).egf(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def _mgf_power(rv: RandomVar, lam: Fraction, j: int, order: int) -> Series:
     return mgf_deg(rv, lam, order).pow(j)
 

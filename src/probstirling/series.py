@@ -42,6 +42,12 @@ Scalar = Union[Fraction, int]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Bound of every lru_cache in the package.  The public cached functions also
+# pass typed=True and run _rat(lam) first: 0.5 == Fraction(1, 2) and both hash
+# alike, so without typed keys a float would be served a Fraction entry
+# instead of raising TypeError.
+CACHE_BOUND = 4096
+
 
 class OrderMismatchError(ValueError):
     """Two series of different truncation orders were combined."""

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .series import Series, Scalar, _rat, as_delta
+from .series import CACHE_BOUND, Series, Scalar, _rat, as_delta
 
 __all__ = [
     "Triangle",
@@ -205,6 +205,7 @@ def _base_series(family: str, lam: Fraction, order: int) -> Series:
     raise ValueError(f"unknown triangle family {family!r}")
 
 
+@lru_cache(maxsize=CACHE_BOUND, typed=True)
 def triangle(family: str, lam: Scalar, nmax: int) -> Triangle:
     """Stirling-type triangle computed from its generating function.
 
@@ -212,17 +213,10 @@ def triangle(family: str, lam: Scalar, nmax: int) -> Triangle:
     "lah" (lam ignored), "h" / "g" (the rising-to-falling connection
     coefficients and their inverses).
     """
-    return _triangle_cached(family, _rat(lam), nmax)
-
-
-@lru_cache(maxsize=None)
-def _triangle_cached(family: str, lam: Fraction, nmax: int) -> Triangle:
-    if nmax >= 1:
-        base = _base_series(family, lam, nmax)
-    else:
-        base = Series.zero(0)
-        _base_series(family, lam, 1)  # still validate the family tag
-    return triangle_from_base(base, family, lam, nmax)
+    lam = _rat(lam)
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    return triangle_from_base(_base_series(family, lam, nmax), family, lam, nmax)
 
 
 def bell_triangle(x: Sequence[Scalar], nmax: int) -> Triangle:
@@ -343,9 +337,12 @@ def bernoulli_pade_a2(order: int) -> Series:
     return (Series.one(order) / den).scale(Fraction(1, 2))
 
 
+@lru_cache(maxsize=CACHE_BOUND, typed=True)
 def frobenius_euler(lam: Scalar, r: int, u: Scalar, order: int) -> Series:
     """Degenerate Frobenius-Euler numbers of order r: ((1-u)/(e_lam(t)-u))**r."""
     lam, u = _rat(lam), _rat(u)
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if u == 1:
         raise ValueError("parameter u must differ from 1")
     if r < 0 or not isinstance(r, int):
@@ -358,7 +355,7 @@ def frobenius_euler(lam: Scalar, r: int, u: Scalar, order: int) -> Series:
 def lah_bell(x: Scalar, n: int) -> Fraction:
     """Lah-Bell polynomial value: sum_k L(n,k) x**k."""
     x = _rat(x)
-    t = triangle("lah", 0, n)
+    t = triangle("lah", _ZERO, n)
     return sum((t.value(n, k) * x**k for k in range(n + 1)), _ZERO)
 
 

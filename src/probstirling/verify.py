@@ -41,7 +41,7 @@ from .prob import (
     sj_moment,
 )
 from .randomvars import RandomVar, builtin_random_vars
-from .series import Series, _rat, lagrange_extract
+from .series import CACHE_BOUND, Series, _rat, lagrange_extract
 from .special import (
     Triangle,
     bell_triangle,
@@ -196,15 +196,16 @@ def stirling1_oracle(nmax: int) -> tuple:
     return stirling1_deg_oracle(nmax, _ZERO)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def stirling2_oracle(nmax: int) -> tuple:
     """Second-kind Stirling table via S(n,k) = S(n-1,k-1) + k S(n-1,k)."""
     return _recurrence_table(nmax, lambda m, k: k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND, typed=True)
 def stirling1_deg_oracle(nmax: int, lam: Fraction) -> tuple:
     """Degenerate first-kind table via S(n+1,k) = S(n,k-1) + (k lam - n) S(n,k)."""
+    lam = _rat(lam)
     return _recurrence_table(nmax, lambda m, k: k * lam - m)
 
 
@@ -294,7 +295,7 @@ def moment_oracle(rv: RandomVar, n: int) -> Fraction:
     raise ValueError(f"unknown random variable kind {kind!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_BOUND)
 def sum_power_moment(rv: RandomVar, j: int, n: int) -> Fraction:
     """E[(Y1 + ... + Yj)^n] by multinomial expansion over single-copy oracle moments."""
     if j == 0:
@@ -468,13 +469,7 @@ _EXACT_CLOSED_FORMS = (
     "normal", "uniform01",
 )
 
-# bounds on the caches shared by every identity_suite run; the first is at
-# least len(DEFAULT_LAMBDA_GRID), so `verify --all-builtin` reuses every entry
-_LAM_ONLY_CACHE_SIZE = 4 * len(DEFAULT_LAMBDA_GRID)
-_DOUBLE_SUM_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=_LAM_ONLY_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_BOUND)
 def _lam_only_records(lam: Fraction, nmax: int) -> tuple:
     """The identity_suite records that involve no random variable, rv "-".
 
@@ -536,7 +531,7 @@ def _lam_only_records(lam: Fraction, nmax: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=_DOUBLE_SUM_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_BOUND)
 def _double_sum_weights(gamma: int, n: int) -> tuple:
     """The distribution-free part of bernoulli-double-sum: the nonzero
     (j, (-1)^j sum_{k=j..n} C(gamma+k-1, k) C(k, j) / C(n+j, j))."""
@@ -667,7 +662,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     rec(_exact_record("mgf-vs-moments", desc, lam, nmax, mgf_vs_moments()))
 
     # rising-factorial second kind: four independent expressions
-    neg_mgf = mgf_deg_neg(rv, lam, max(nmax, 1))
+    neg_mgf = mgf_deg_neg(rv, lam, nmax)
     neg_t2 = triangle_from_base(
         (neg_mgf - Series.one(neg_mgf.order)).truncate(nmax), "neg-s2", lam, nmax
     )
@@ -929,7 +924,7 @@ def limit_suite(nmax: int) -> VerificationReport:
 
     # lam = 0 probabilistic second kind vs inclusion-exclusion on plain moments
     for rv in builtin_random_vars():
-        t2 = prob_triangle(rv, 0, "s2", small)
+        t2 = prob_triangle(rv, _ZERO, "s2", small)
 
         def classical_prob(rv=rv, t2=t2):
             for n in range(small + 1):

@@ -8,7 +8,7 @@ import pytest
 
 from probstirling.cli import main, parse_rational, parse_rv
 from probstirling.prob import prob_log
-from probstirling.randomvars import RandomVar
+from probstirling.randomvars import RandomVar, builtin_random_vars
 from probstirling.special import triangle
 
 
@@ -36,6 +36,34 @@ def test_parse_rv_specs():
         parse_rv("bernoulli:q=1/2")
     with pytest.raises(ValueError):
         parse_rv("mystery:p=1")
+
+
+def test_parse_rv_round_trips_every_builtin():
+    for rv in builtin_random_vars():
+        spec = rv.kind + ":" + ",".join(f"{k}={v}" for k, v in rv.params)
+        assert parse_rv(spec) == rv
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("poisson", "poisson takes parameters ('alpha',), got ()"),
+    ("gamma:alpha=1/2", "gamma takes parameters ('alpha', 'beta'), got ('alpha',)"),
+    ("uniform01:c=1", "uniform01 takes parameters (), got ('c',)"),
+    ("pointmass:c=1,d=2", "pointmass takes parameters ('c',), got ('c', 'd')"),
+    ("normal:mu=1,sigma2", "malformed parameter 'sigma2' in rv spec"),
+    ("bernoulli:p=x", "not a rational number: 'x'"),
+    ("binomial:m=3/2,p=1/2", "parameter m must be an integer, got 3/2"),
+    ("negbinomial:r=1/2,p=1/2", "parameter r must be an integer, got 1/2"),
+    ("mystery:p=1", "unknown random variable 'mystery'"),
+    ("mean", "unknown random variable 'mean'"),
+    ("mystery:p", "malformed parameter 'p' in rv spec"),
+])
+def test_bad_rv_spec_exits_2(capsys, spec, message):
+    code, out, err = run(
+        capsys, "table", "--family", "prob-s2", "--rv", spec, "--nmax", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 # -- table command ------------------------------------------------------------------

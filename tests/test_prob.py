@@ -317,6 +317,11 @@ def test_parameter_ranges():
 
 def test_negative_sizes_are_refused():
     rv = RandomVar.poisson(2)
+    prob_triangle(rv, F(1, 2), "s1", 3)  # warm every cache on (rv, 1/2)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        mgf_deg(rv, F(1, 2), -1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        bundle(rv, F(1, 2), -1)
     with pytest.raises(ValueError, match="nmax must be >= 0"):
         prob_triangle(rv, F(1, 2), "s1", -1)
     with pytest.raises(ValueError, match="order must be >= 0"):
@@ -324,6 +329,18 @@ def test_negative_sizes_are_refused():
     for family in ("bernoulli", "daehee", "cauchy"):
         with pytest.raises(ValueError, match="order must be >= 0"):
             prob_order_numbers(rv, F(1, 2), 1, 0, family, -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda lam: mgf_deg(RandomVar.poisson(2), lam, 4),
+    lambda lam: bundle(RandomVar.poisson(2), lam, 4),
+    lambda lam: prob_triangle(RandomVar.poisson(2), lam, "s1", 4),
+])
+def test_float_lambda_is_refused_after_an_equal_fraction(call):
+    # 0.5 == F(1, 2) and both hash alike: the caches must not serve the float
+    call(F(1, 2))
+    with pytest.raises(TypeError):
+        call(0.5)
 
 
 def test_log_of_product_scalar_rule():

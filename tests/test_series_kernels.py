@@ -265,11 +265,25 @@ def test_kernels_match_reference_on_engine_series_at_order_30():
 
 # -- safety net ------------------------------------------------------------------------
 
+_MODULES = (series_module, special, prob, closedforms, verify, randomvars)
+
+
 def clear_module_caches():
-    for module in (series_module, special, prob, closedforms, verify, randomvars):
+    for module in _MODULES:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+
+
+def test_every_module_cache_is_bounded():
+    caches = {
+        f"{module.__name__}.{name}": value.cache_parameters()["maxsize"]
+        for module in _MODULES
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_parameters") and value.__module__ == module.__name__
+    }
+    assert len(caches) >= 20
+    assert caches == dict.fromkeys(caches, series_module.CACHE_BOUND)
 
 
 def bump_top(s):

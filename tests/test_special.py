@@ -159,8 +159,35 @@ def test_second_first_kind_orthogonality():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        triangle("nope", 0, 3)
+    for nmax in (3, 0):
+        with pytest.raises(ValueError, match="unknown triangle family"):
+            triangle("nope", 0, nmax)
+
+
+@pytest.mark.parametrize("family", special.TRIANGLE_FAMILIES)
+def test_order_zero_triangle(family):
+    for lam in (F(0), F(1, 2), F(-1, 3), F(2)):
+        assert triangle(family, lam, 0).rows == ((1,),)
+
+
+def test_negative_sizes_are_refused():
+    triangle("s1", F(1, 2), 3)
+    frobenius_euler(F(1, 2), 2, F(3), 3)
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        triangle("s1", F(1, 2), -1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        frobenius_euler(F(1, 2), 2, F(3), -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda lam: triangle("s1", lam, 4),
+    lambda lam: frobenius_euler(lam, 2, F(3), 4),
+])
+def test_float_lambda_is_refused_after_an_equal_fraction(call):
+    # 0.5 == F(1, 2) and both hash alike: the caches must not serve the float
+    call(F(1, 2))
+    with pytest.raises(TypeError):
+        call(0.5)
 
 
 # -- partial Bell polynomials -----------------------------------------------------

@@ -49,6 +49,15 @@ def test_degenerate_oracles_match_engine_tables():
             assert stirling2_deg_incl_excl(n, k, lam) == t2.value(n, k)
 
 
+def test_degenerate_oracle_rejects_a_float_lambda():
+    stirling1_deg_oracle.cache_clear()
+    with pytest.raises(TypeError):
+        stirling1_deg_oracle(3, 0.5)
+    stirling1_deg_oracle(3, F(1, 2))
+    with pytest.raises(TypeError):
+        stirling1_deg_oracle(3, 0.5)
+
+
 def test_lah_closed_oracle():
     assert lah_closed(4, 2) == 36
     assert lah_closed(0, 0) == 1
