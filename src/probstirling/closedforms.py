@@ -39,12 +39,12 @@ from .special import (
     triangle,
 )
 
-__all__ = ["NumericResult", "closed_form", "uniform_first_kind"]
+__all__ = ["CLOSED_FORM_KINDS", "NumericResult", "closed_form", "uniform_first_kind"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_NAMED = (
+CLOSED_FORM_KINDS = (
     "bernoulli", "binomial", "poisson", "exponential", "gamma",
     "geometric", "normal", "negbinomial", "uniform01",
 )
@@ -82,9 +82,13 @@ class NumericResult:
 # Shared table access (bucketed so different requested sizes share a build)
 # ---------------------------------------------------------------------------
 
+def _bucket(need: int) -> int:
+    """`need` rounded up to a multiple of 30."""
+    return ((need + 29) // 30) * 30
+
+
 def _tab(family: str, lam: Fraction, need: int):
-    bucket = max(10, ((need + 29) // 30) * 30)
-    return triangle(family, lam, bucket)
+    return triangle(family, lam, max(10, _bucket(need)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +313,11 @@ def _log_series(rv: RandomVar, lam: Fraction, order: int) -> Series:
     raise ValueError(f"no exact log pipeline for {kind!r}")
 
 
-def _log_value(rv: RandomVar, lam: Fraction, n: int) -> Fraction:
+def _log_value(rv: RandomVar, lam: Fraction, n: int, depth: int) -> Fraction:
     if n == 0:
         return _ZERO
-    kind = rv.kind
-    if kind == "normal":
-        if lam == 0:
-            raise ValueError("the printed normal log formula needs lam != 0")
-        return _normal_log(rv.param("mu"), rv.param("sigma2"), lam, n)
-    if kind == "uniform01":
-        return uniform_first_kind(lam, n, 1)
+    if rv.kind in ("normal", "uniform01"):  # log_lam coefficients = first kind at k = 1
+        return _s1_value(rv, lam, n, 1, depth)
     order = max(8, ((n + 7) // 8) * 8)
     return _log_series(rv, lam, order).egf(n)
 
@@ -328,18 +327,19 @@ def _log_value(rv: RandomVar, lam: Fraction, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=CACHE_BOUND)
-def _gamma_inner(alpha: Fraction, n: int, l: int) -> Fraction:
+def _alt_difference(c: Fraction, n: int, l: int) -> Fraction:
+    """sum_j (-1)^j C(l, j) (c j)_n: the l-th finite difference of the degree-n
+    polynomial j -> (c j)_n, up to sign, hence 0 for every l > n."""
     total = _ZERO
     for j in range(l + 1):
-        term = binom(l, j) * falling_factorial(Fraction(-j) / alpha, n, 1)
+        term = binom(l, j) * falling_factorial(c * j, n, 1)
         total += -term if j % 2 else term
     return total
 
 
 def _gamma_s1(alpha: Fraction, beta: Fraction, lam: Fraction,
               n: int, k: int) -> Fraction:
-    # _gamma_inner(alpha, n, l) is the l-th finite difference of the degree-n
-    # polynomial j -> (-j/alpha)_n, hence 0 for every l > n
+    # the printed sum over l is infinite, but _alt_difference is 0 past l = n
     s2c = _tab("s2", _ZERO, n)
     total = _ZERO
     for l in range(k, n + 1):
@@ -347,7 +347,7 @@ def _gamma_s1(alpha: Fraction, beta: Fraction, lam: Fraction,
         if not s2v:
             continue
         total += (
-            _gamma_inner(alpha, n, l)
+            _alt_difference(-1 / alpha, n, l)
             * beta**l
             * lam ** (l - k)
             * s2v
@@ -357,20 +357,9 @@ def _gamma_s1(alpha: Fraction, beta: Fraction, lam: Fraction,
 
 
 @lru_cache(maxsize=CACHE_BOUND)
-def _normal_v(j: int, m: int) -> Fraction:
-    """Alternating inner sum over l of C(j,l) (l/2)_m."""
-    total = _ZERO
-    for l in range(j + 1):
-        term = binom(j, l) * falling_factorial(Fraction(l, 2), m, 1)
-        total += -term if l % 2 else term
-    return total
-
-
-@lru_cache(maxsize=CACHE_BOUND)
 def _normal_w(mu: Fraction, sigma2: Fraction, lam: Fraction,
               k: int, m: int) -> Fraction:
-    # _normal_v(j, m) is the j-th finite difference of the degree-m polynomial
-    # l -> (l/2)_m, hence 0 for every j > m
+    # the printed sum over j is infinite, but _alt_difference is 0 past j = m
     ratio = lam * mu / sigma2
     s2c = _tab("s2", _ZERO, m)
     total = _ZERO
@@ -378,7 +367,7 @@ def _normal_w(mu: Fraction, sigma2: Fraction, lam: Fraction,
         s2v = s2c.value(j, k)
         if not s2v:
             continue
-        term = ratio**j * s2v * _normal_v(j, m) / factorial(j)
+        term = ratio**j * s2v * _alt_difference(Fraction(1, 2), m, j) / factorial(j)
         total += -term if j % 2 else term
     return total
 
@@ -395,62 +384,36 @@ def _normal_s1(mu: Fraction, sigma2: Fraction, lam: Fraction,
     return total / lam**k
 
 
-def _normal_log(mu: Fraction, sigma2: Fraction, lam: Fraction, n: int) -> Fraction:
-    # the m = 0 term (an infinite sum) is multiplied by s1(n, 0) = 0 for n >= 1,
-    # and for m >= 1 _normal_v(j, m) = 0 past j = m, as in _normal_w
-    ratio = lam * mu / sigma2
-    s1c = _tab("s1", _ZERO, n)
-    total = _ZERO
-    for m in range(1, n + 1):
-        s1v = s1c.value(n, m)
-        if not s1v:
-            continue
-        u = _ZERO
-        for j in range(1, m + 1):
-            v = _normal_v(j, m)
-            if not v:
-                continue
-            term = ratio**j * v / factorial(j)
-            u += -term if j % 2 else term
-        total += s1v * 2**m * (sigma2 / mu**2) ** m * u
-    return total / lam
-
-
 # ---------------------------------------------------------------------------
 # Negative binomial: genuinely infinite, partial sums at depth - 5 and depth
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=CACHE_BOUND)
-def _nb_inner2(p: Fraction, r: int, k: int, m: int) -> Fraction:
-    s2c = _tab("s2", _ZERO, m)
-    total = _ZERO
-    for l in range(min(m, k) + 1):
-        s2v = s2c.value(m, l)
-        if s2v:
-            total += (p**r - 1) ** (k - l) * p ** (r * l) * s2v / factorial(k - l)
-    return total
-
-
-@lru_cache(maxsize=CACHE_BOUND)
-def _nb_ak(p: Fraction, r: int, k: int, j: int) -> Fraction:
-    s1c = _tab("s1", _ZERO, j)
-    total = _ZERO
-    for m in range(j + 1):
-        s1v = s1c.value(j, m)
-        if s1v:
-            total += (-r) ** m * s1v * _nb_inner2(p, r, k, m)
-    return total
-
-
 # The second kind sums (p-1)^j a_k(j)/j! (j)_{n,lam} over j: the weights
 # depend on (p, r, k) and the falling-factorial column on (n, lam) only, so
-# each is built once per depth and shared by every entry that needs it.
+# the weights are built once per depth bucket and the column once per depth,
+# each shared by every entry that needs it.
 @lru_cache(maxsize=CACHE_BOUND)
-def _nb_s2_weights(p: Fraction, r: int, k: int, depth: int) -> tuple:
-    """(p-1)^j a_k(j) / j! for j = 0..depth."""
-    return tuple(
-        (p - 1) ** j * _nb_ak(p, r, k, j) / factorial(j) for j in range(depth + 1)
-    )
+def _nb_s2_weights(p: Fraction, r: int, k: int, bucket: int) -> tuple:
+    """(p-1)^j a_k(j) / j! for j = 0..bucket, where
+    a_k(j) = sum_m (-r)^m s1(j, m) sum_l (p^r - 1)^(k-l) p^(r l) S2(m, l) / (k-l)!."""
+    s2c, s1c = _tab("s2", _ZERO, bucket), _tab("s1", _ZERO, bucket)
+    inner = []  # the sums over l, for m = 0..bucket
+    for m in range(bucket + 1):
+        total = _ZERO
+        for l in range(min(m, k) + 1):
+            s2v = s2c.value(m, l)
+            if s2v:
+                total += (p**r - 1) ** (k - l) * p ** (r * l) * s2v / factorial(k - l)
+        inner.append(total)
+    weights = []
+    for j in range(bucket + 1):
+        a = _ZERO
+        for m in range(j + 1):
+            s1v = s1c.value(j, m)
+            if s1v:
+                a += (-r) ** m * s1v * inner[m]
+        weights.append((p - 1) ** j * a / factorial(j))
+    return tuple(weights)
 
 
 @lru_cache(maxsize=CACHE_BOUND)
@@ -463,7 +426,8 @@ def _nb_s2(p: Fraction, r: int, lam: Fraction,
            n: int, k: int, depth: int) -> NumericResult:
     """Exact partial sums to depth and to depth - 5, in one pass."""
     total = short = _ZERO
-    terms = zip(_nb_s2_weights(p, r, k, depth), _falling_column(n, lam, depth))
+    weights = _nb_s2_weights(p, r, k, _bucket(depth))
+    terms = zip(weights, _falling_column(n, lam, depth))
     for j, (weight, falling) in enumerate(terms):
         if weight:
             total += weight * falling
@@ -485,7 +449,7 @@ def _deg_log_power(lam: Fraction, nmax: int, l: int) -> Series:
 @lru_cache(maxsize=CACHE_BOUND)
 def _nb_s1_inners(p: Fraction, r: int, lam: Fraction, n: int, depth: int) -> tuple:
     """For l = 0..n, the exact inner sums over m to depth and to depth - 5."""
-    nmax = ((depth + 29) // 30) * 30  # one power table for nearby depths
+    nmax = _bucket(depth)  # one power table for nearby depths
     signed = [
         (-p) ** m * falling_factorial(Fraction(-m, r), n, 1) / factorial(m)
         for m in range(depth + 1)
@@ -595,12 +559,12 @@ def closed_form(rv: RandomVar, lam: Scalar, family: str, n: int, k: int = 0,
     lam = _rat(lam)
     if depth < 10:
         raise ValueError("truncation depth must be >= 10")
-    if rv.kind not in _NAMED:
+    if rv.kind not in CLOSED_FORM_KINDS:
         raise ValueError(f"no closed forms for {rv.kind!r} (named distributions only)")
     if n < 0:
         raise ValueError("n must be >= 0")
     if family == "log":
-        return _log_value(rv, lam, n)
+        return _log_value(rv, lam, n, depth)
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     if family == "s2":

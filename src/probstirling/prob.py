@@ -290,8 +290,10 @@ def schlomilch_s1(rv: RandomVar, lam: Scalar, n: int, k: int) -> Fraction:
     (via prob_log) is its independent cross-check.
     """
     lam = _rat(lam)
+    if not 0 <= k <= n:  # before 2 (n - k) sizes a table
+        raise ValueError("need 0 <= k <= n")
     mean = rv.mean()
     if mean == 0:
         raise ValueError("Schlomilch evaluation requires E[Y] != 0")
-    t2 = prob_triangle(rv, lam, "s2", max(2 * (n - k), 1) if n else 0)
+    t2 = prob_triangle(rv, lam, "s2", 2 * (n - k))
     return schlomilch_sum(mean, t2.value, n, k)

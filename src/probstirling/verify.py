@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .closedforms import NumericResult, closed_form
+from .closedforms import CLOSED_FORM_KINDS, NumericResult, closed_form
 from .prob import (
     bernoulli_from_mgf,
     mgf_deg,
@@ -179,6 +179,8 @@ class MCEstimate:
 
 def _recurrence_table(nmax: int, coefficient) -> tuple:
     """Rows 0..nmax of T(n,k) = T(n-1,k-1) + coefficient(n-1, k) T(n-1,k), T(0,0) = 1."""
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     rows = [[_ONE]]
     for n in range(1, nmax + 1):
         prev = rows[-1]
@@ -310,44 +312,34 @@ def sum_power_moment(rv: RandomVar, j: int, n: int) -> Fraction:
 # Record construction helpers
 # ---------------------------------------------------------------------------
 
-def _exact_record(identity: str, rv_desc: str, lam: Fraction, nmax: int,
-                  pairs: Iterable[tuple]) -> IdentityRecord:
-    for index, lhs, rhs in pairs:
-        if lhs != rhs:
-            return IdentityRecord(
-                identity, rv_desc, str(lam), nmax, "fail",
-                first_failure=tuple(index), lhs=str(lhs), rhs=str(rhs),
-            )
-    return IdentityRecord(identity, rv_desc, str(lam), nmax, "pass")
-
-
-def _numeric_record(identity: str, rv_desc: str, lam: Fraction, nmax: int,
-                    triples: Iterable[tuple],
-                    tol: float = NUMERIC_TOLERANCE) -> IdentityRecord:
-    saw_inconclusive = False
+def _record(identity: str, rv_desc: str, lam: Fraction, nmax: int,
+            pairs: Iterable[tuple]) -> IdentityRecord:
+    """Compare each (index, lhs, rhs): exactly, or within NUMERIC_TOLERANCE
+    when rhs is a NumericResult, whose unstabilized values are inconclusive."""
     first_inconclusive = None
-    for index, exact, result in triples:
-        if not isinstance(result, NumericResult):
-            raise TypeError("numeric comparison expects a NumericResult")
-        if not result.stabilized:
-            if not saw_inconclusive:
-                saw_inconclusive, first_inconclusive = True, (
-                    tuple(index), float(exact), result,
-                )
+    for index, lhs, rhs in pairs:
+        if isinstance(rhs, NumericResult):
+            e = float(lhs)
+            if not rhs.stabilized:
+                if first_inconclusive is None:
+                    first_inconclusive = tuple(index), e, rhs.value
+                continue
+            if abs(rhs.value - e) <= NUMERIC_TOLERANCE * max(1.0, abs(e)):
+                continue
+            lhs_text, rhs_text = format(e, ".12g"), format(rhs.value, ".12g")
+        elif lhs == rhs:
             continue
-        e = float(exact)
-        if abs(result.value - e) > tol * max(1.0, abs(e)):
-            return IdentityRecord(
-                identity, rv_desc, str(lam), nmax, "fail",
-                first_failure=tuple(index),
-                lhs=format(e, ".12g"), rhs=format(result.value, ".12g"),
-            )
-    if saw_inconclusive:
-        index, e, result = first_inconclusive
+        else:
+            lhs_text, rhs_text = str(lhs), str(rhs)
+        return IdentityRecord(
+            identity, rv_desc, str(lam), nmax, "fail",
+            first_failure=tuple(index), lhs=lhs_text, rhs=rhs_text,
+        )
+    if first_inconclusive is not None:
+        index, e, value = first_inconclusive
         return IdentityRecord(
             identity, rv_desc, str(lam), nmax, "inconclusive",
-            first_failure=index,
-            lhs=format(e, ".12g"), rhs=format(result.value, ".12g"),
+            first_failure=index, lhs=format(e, ".12g"), rhs=format(value, ".12g"),
         )
     return IdentityRecord(identity, rv_desc, str(lam), nmax, "pass")
 
@@ -409,7 +401,7 @@ def check_orthogonality(t2: Triangle, t1: Triangle, seed: int = 20250801) -> Ver
         ("inversion-columns", inversion(False)),
         ("inversion-rows", inversion(True)),
     ):
-        report.records.append(_exact_record(identity, rv_desc, lam, nmax, pairs))
+        report.records.append(_record(identity, rv_desc, lam, nmax, pairs))
     return report
 
 
@@ -464,11 +456,6 @@ def _uniform_divided_power_pairs(lam: Fraction, nmax: int, t1: Triangle):
             yield (n, k), lhs, rhs
 
 
-_EXACT_CLOSED_FORMS = (
-    "bernoulli", "binomial", "poisson", "exponential", "gamma", "geometric",
-    "normal", "uniform01",
-)
-
 @lru_cache(maxsize=CACHE_BOUND)
 def _lam_only_records(lam: Fraction, nmax: int) -> tuple:
     """The identity_suite records that involve no random variable, rv "-".
@@ -521,7 +508,7 @@ def _lam_only_records(lam: Fraction, nmax: int) -> tuple:
                 yield (n, k, 2), det_lah.value(n, k), rhs2
 
     return tuple(
-        _exact_record(identity, "-", lam, nmax, pairs)
+        _record(identity, "-", lam, nmax, pairs)
         for identity, pairs in (
             ("first-kind-order-bridge", first_kind_order_bridge()),
             ("second-kind-cauchy-bridge", second_kind_cauchy_bridge()),
@@ -547,16 +534,13 @@ def _double_sum_weights(gamma: int, n: int) -> tuple:
 
 def identity_suite(rv: RandomVar, lam, nmax: int,
                    gammas: Sequence[int] = DEFAULT_GAMMAS,
-                   depth: int = 60,
-                   moment_perturbation: Optional[tuple] = None) -> VerificationReport:
+                   depth: int = 60) -> VerificationReport:
     """Run every supported identity for one (rv, lam) configuration.
 
     `nmax` must be >= 1.  `gammas` must be integers (poles are skipped where
     an identity excludes them): a non-integer rational raises ValueError, a
     float TypeError.  `depth` (>= 10) truncates the negative-binomial closed
     forms.
-    `moment_perturbation = (index, delta)` shifts one textbook-oracle moment
-    and exists as a fault-injection hook for negative-control tests.
 
     The records that involve no random variable (the deterministic bridges,
     the triangle connections and the binomial-sum identities) are evaluated
@@ -632,7 +616,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 yield (n, k, 1), engine, bridge
                 yield (n, k, 2), engine, first_kind_bell.value(n, k)
 
-    rec(_exact_record("first-kind-three-way", desc, lam, nmax, first_kind_three_way()))
+    rec(_record("first-kind-three-way", desc, lam, nmax, first_kind_three_way()))
 
     # second-kind entries: powers vs inclusion-exclusion vs partial Bell
     def second_kind_three_way():
@@ -643,7 +627,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 yield (n, k, 1), engine, incl
                 yield (n, k, 2), engine, falling_bell.value(n, k)
 
-    rec(_exact_record("second-kind-three-way", desc, lam, nmax, second_kind_three_way()))
+    rec(_record("second-kind-three-way", desc, lam, nmax, second_kind_three_way()))
 
     # moment series vs textbook moments (the one check a perturbed moment breaks)
     def mgf_vs_moments():
@@ -653,13 +637,10 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
             total = _ZERO
             for k in range(n + 1):
                 if s1c[n][k]:
-                    m_k = moment_oracle(rv, k)
-                    if moment_perturbation is not None and moment_perturbation[0] == k:
-                        m_k += moment_perturbation[1]
-                    total += s1c[n][k] * lam ** (n - k) * m_k
+                    total += s1c[n][k] * lam ** (n - k) * moment_oracle(rv, k)
             yield (n,), engine, total
 
-    rec(_exact_record("mgf-vs-moments", desc, lam, nmax, mgf_vs_moments()))
+    rec(_record("mgf-vs-moments", desc, lam, nmax, mgf_vs_moments()))
 
     # rising-factorial second kind: four independent expressions
     neg_mgf = mgf_deg_neg(rv, lam, nmax)
@@ -677,7 +658,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 yield (n, k, 2), h, incl
                 yield (n, k, 3), h, rising_bell.value(n, k)
 
-    rec(_exact_record("rising-second-kind-four-way", desc, lam, nmax, rising_second_kind()))
+    rec(_record("rising-second-kind-four-way", desc, lam, nmax, rising_second_kind()))
 
     # rising-factorial first kind: sign-flipped reversion of -Y, plus Bell forms
     neg_delta = neg_mgf - Series.one(neg_mgf.order)
@@ -698,7 +679,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 )
                 yield (n, k, 4), g, bridge
 
-    rec(_exact_record("rising-first-kind-multi-way", desc, lam, nmax, rising_first_kind()))
+    rec(_record("rising-first-kind-multi-way", desc, lam, nmax, rising_first_kind()))
 
     # partial Bell of shifted falling moments vs second-kind sums
     def shifted_bell():
@@ -717,7 +698,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 )
                 yield (n, k), lhs, rhs
 
-    rec(_exact_record("shifted-bell-vs-second-kind", desc, lam, nmax, shifted_bell()))
+    rec(_record("shifted-bell-vs-second-kind", desc, lam, nmax, shifted_bell()))
 
     # higher-order Bernoulli numbers from the shifted Bell polynomials
     def bernoulli_from_bell():
@@ -734,7 +715,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 )
                 yield (gamma, n), lhs, rhs
 
-    rec(_exact_record("bernoulli-from-shifted-bell", desc, lam, nmax, bernoulli_from_bell()))
+    rec(_record("bernoulli-from-shifted-bell", desc, lam, nmax, bernoulli_from_bell()))
 
     # higher-order Bernoulli numbers as a double sum over second-kind entries
     def bernoulli_double_sum():
@@ -750,7 +731,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 )
                 yield (gamma, n), lhs, rhs
 
-    rec(_exact_record("bernoulli-double-sum", desc, lam, nmax, bernoulli_double_sum()))
+    rec(_record("bernoulli-double-sum", desc, lam, nmax, bernoulli_double_sum()))
 
     # Schlomilch sums against the reversion-based triangles
     def schlomilch_pairs(second_kind: Triangle, first_kind: Triangle):
@@ -759,21 +740,16 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 lhs = schlomilch_sum(mean, second_kind.value, n, k)
                 yield (n, k), lhs, first_kind.value(n, k)
 
-    rec(_exact_record("schlomilch", desc, lam, nmax, schlomilch_pairs(t2big, t1)))
-    rec(_exact_record("schlomilch-rising", desc, lam, nmax, schlomilch_pairs(thbig, tg)))
+    rec(_record("schlomilch", desc, lam, nmax, schlomilch_pairs(t2big, t1)))
+    rec(_record("schlomilch-rising", desc, lam, nmax, schlomilch_pairs(thbig, tg)))
 
     # log coefficients from second-kind data only
     def log_from_second_kind():
+        # the Schlomilch sum at k = 1, where C(n+j-1, n+j-1) = 1
         for n in range(1, nmax + 1):
-            total = _ZERO
-            for j in range(n):
-                c = binom(2 * n - 1, n - 1 - j)
-                if c:
-                    term = c * mean_power(-(n + j)) * t2big.value(n - 1 + j, j)
-                    total += -term if j % 2 else term
-            yield (n,), log_series.egf(n), total
+            yield (n,), log_series.egf(n), schlomilch_sum(mean, t2big.value, n, 1)
 
-    rec(_exact_record("log-from-second-kind", desc, lam, nmax, log_from_second_kind()))
+    rec(_record("log-from-second-kind", desc, lam, nmax, log_from_second_kind()))
 
     # Daehee / Cauchy orders against first-kind sums and Bernoulli ratios:
     # sign +1 pairs the Daehee numbers of order gamma with Bernoulli order
@@ -804,11 +780,11 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 yield (gamma, n), d.egf(n), rhs
 
     for family, sign in order_families:
-        rec(_exact_record(f"{family}-from-first-kind", desc, lam, nmax,
-                          order_sum(family, sign)))
+        rec(_record(f"{family}-from-first-kind", desc, lam, nmax,
+                    order_sum(family, sign)))
     for family, sign in order_families:
-        rec(_exact_record(f"{family}-bernoulli-ratio", desc, lam, nmax,
-                          order_ratio(family, sign)))
+        rec(_record(f"{family}-bernoulli-ratio", desc, lam, nmax,
+                    order_ratio(family, sign)))
 
     # records shared by every distribution at this (lam, nmax), see above
     report.records.extend(
@@ -818,18 +794,15 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     # distribution-specific closed forms: exact for every named distribution
     # but the negative binomial, whose depth-truncated triangles compare
     # numerically (its log closed form is exact too)
-    if rv.kind in _EXACT_CLOSED_FORMS or rv.kind == "negbinomial":
+    if rv.kind in CLOSED_FORM_KINDS:
         ncap = min(nmax, 10)
-        triangle_record = (
-            _exact_record if rv.kind in _EXACT_CLOSED_FORMS else _numeric_record
-        )
 
         def s2_closed():
             for n in range(ncap + 1):
                 for k in range(n + 1):
                     yield (n, k), t2big.value(n, k), closed_form(rv, lam, "s2", n, k, depth)
 
-        rec(triangle_record("closed-form-s2", desc, lam, nmax, s2_closed()))
+        rec(_record("closed-form-s2", desc, lam, nmax, s2_closed()))
 
         normal_at_zero = rv.kind == "normal" and lam == 0  # printed forms need lam != 0
         if not normal_at_zero:
@@ -838,17 +811,17 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                     for k in range(n + 1):
                         yield (n, k), t1.value(n, k), closed_form(rv, lam, "s1", n, k, depth)
 
-            rec(triangle_record("closed-form-s1", desc, lam, nmax, s1_closed()))
+            rec(_record("closed-form-s1", desc, lam, nmax, s1_closed()))
 
             def log_closed():
                 for n in range(1, ncap + 1):
                     yield (n,), log_series.egf(n), closed_form(rv, lam, "log", n, 0, depth)
 
-            rec(_exact_record("closed-form-log", desc, lam, nmax, log_closed()))
+            rec(_record("closed-form-log", desc, lam, nmax, log_closed()))
 
     if rv.kind == "uniform01":
-        rec(_exact_record("uniform-divided-power-lemma", desc, lam, nmax,
-                          _uniform_divided_power_pairs(lam, nmax, t1)))
+        rec(_record("uniform-divided-power-lemma", desc, lam, nmax,
+                    _uniform_divided_power_pairs(lam, nmax, t1)))
 
     # point mass at 1 must reduce every family to its deterministic counterpart
     if rv.kind == "pointmass" and rv.param("c") == 1:
@@ -866,7 +839,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
             for n in range(nmax + 1):
                 yield (n, 0, 5), log_series.egf(n), det_log.egf(n)
 
-        rec(_exact_record("pointmass-reduction", desc, lam, nmax, reduction()))
+        rec(_record("pointmass-reduction", desc, lam, nmax, reduction()))
 
     return report
 
@@ -887,7 +860,7 @@ def limit_suite(nmax: int) -> VerificationReport:
     def triangle_records(rows):
         for identity, lam, family, oracle in rows:
             t = triangle(family, lam, nmax)
-            rec(_exact_record(
+            rec(_record(
                 identity, "-", lam, nmax,
                 (((n, k), t.value(n, k), oracle(n, k)) for n, k in pairs_all),
             ))
@@ -906,7 +879,7 @@ def limit_suite(nmax: int) -> VerificationReport:
         ("falling-step-one", falling_factorial, _classical_falling),
         ("rising-step-one", rising_factorial, _classical_rising),
     ):
-        rec(_exact_record(
+        rec(_record(
             identity, "-", _ONE, small,
             (((n,), engine(x, n, 1), classical(x, n)) for n in range(small + 1)),
         ))
@@ -932,7 +905,7 @@ def limit_suite(nmax: int) -> VerificationReport:
                     incl = _incl_excl(k, lambda j: sum_power_moment(rv, j, n))
                     yield (n, k), t2.value(n, k), incl
 
-        rec(_exact_record(
+        rec(_record(
             "prob-classical-limit", rv.describe(), _ZERO, small, classical_prob()
         ))
 
@@ -959,7 +932,7 @@ def limit_suite(nmax: int) -> VerificationReport:
                     for n in range(cap + 1):
                         yield (n, gamma, family), ps.egf(n), ds.egf(n)
 
-        rec(_exact_record("pointmass-reduction", pm.describe(), lam, cap, pm_pairs()))
+        rec(_record("pointmass-reduction", pm.describe(), lam, cap, pm_pairs()))
 
     return report
 

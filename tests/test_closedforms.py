@@ -1,21 +1,17 @@
 """Printed distribution formulas against the reversion-based engine."""
 
 from fractions import Fraction as F
+from functools import cache
 from math import factorial
 
 import pytest
 
 from probstirling.cli import main
-from probstirling.closedforms import (
-    NumericResult,
-    _nb_ak,
-    closed_form,
-    uniform_first_kind,
-)
+from probstirling.closedforms import NumericResult, closed_form, uniform_first_kind
 from probstirling.prob import prob_log, prob_triangle
 from probstirling.randomvars import RandomVar
 from probstirling.special import falling_factorial
-from probstirling.verify import identity_suite
+from probstirling.verify import identity_suite, stirling1_oracle, stirling2_oracle
 
 LAM = F(1, 2)
 NMAX = 6
@@ -137,14 +133,33 @@ def test_negbinomial_partial_sums_are_pinned(rv):
         assert result == NumericResult(float.fromhex(hex_value), depth, stabilized)
 
 
+NB_REFERENCE_DEPTH = 100  # the deepest depth the reference is asked for
+
+
+@cache
+def reference_nb_inner(p, r, k, m):
+    """sum_l (p^r - 1)^(k-l) p^(r l) S2(m, l)/(k-l)!, from the recurrence oracle."""
+    s2 = stirling2_oracle(NB_REFERENCE_DEPTH)
+    return sum(
+        (p**r - 1) ** (k - l) * p ** (r * l) * s2[m][l] / factorial(k - l)
+        for l in range(min(m, k) + 1)
+    )
+
+
+@cache
+def reference_nb_weight(p, r, k, j):
+    """(p-1)^j a_k(j)/j! with a_k(j) = sum_m (-r)^m s1(j, m) reference_nb_inner(m)."""
+    s1 = stirling1_oracle(NB_REFERENCE_DEPTH)
+    a = sum((-r) ** m * s1[j][m] * reference_nb_inner(p, r, k, m) for m in range(j + 1))
+    return (p - 1) ** j * a / factorial(j)
+
+
 def reference_nb_s2(p, r, lam, n, k, depth):
     """The negative-binomial second kind summed term by term, each weight
-    (p-1)^j a_k(j)/j! and falling factorial (j)_{n,lam} built in place."""
+    taken from the oracle tables and each falling factorial built in place."""
     total = short = F(0)
     for j in range(depth + 1):
-        a = _nb_ak(p, r, k, j)
-        if a:
-            total += (p - 1) ** j * falling_factorial(j, n, lam) * a / factorial(j)
+        total += reference_nb_weight(p, r, k, j) * falling_factorial(j, n, lam)
         if j == depth - 5:
             short = total
     return NumericResult.from_partials(total, short, depth)

@@ -283,6 +283,12 @@ def test_schlomilch_diagonal():
         assert schlomilch_s1(rv, LAM, n, n) == rv.mean() ** (-n)
 
 
+@pytest.mark.parametrize("n, k", [(2, 3), (0, 1), (2, -1), (2, -200)])
+def test_schlomilch_rejects_k_outside_the_row(n, k):
+    with pytest.raises(ValueError, match="need 0 <= k <= n"):
+        schlomilch_s1(RandomVar.poisson(2), LAM, n, k)
+
+
 def test_schlomilch_bernoulli_scaling():
     p = F(1, 2)
     rv = RandomVar.bernoulli(p)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from probstirling import verify
+from probstirling.closedforms import NumericResult
 from probstirling.prob import prob_triangle, sj_moment
 from probstirling.randomvars import RandomVar
 from probstirling.series import Series
@@ -47,6 +48,17 @@ def test_degenerate_oracles_match_engine_tables():
         for k in range(n + 1):
             assert deg1[n][k] == t1.value(n, k)
             assert stirling2_deg_incl_excl(n, k, lam) == t2.value(n, k)
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [stirling1_oracle, stirling2_oracle, lambda nmax: stirling1_deg_oracle(nmax, F(1, 2))],
+    ids=["stirling1", "stirling2", "stirling1_deg"],
+)
+def test_recurrence_oracles_reject_negative_nmax(oracle):
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        oracle(-1)
+    assert oracle(0) == ((1,),)
 
 
 def test_degenerate_oracle_rejects_a_float_lambda():
@@ -117,6 +129,34 @@ def test_orthogonality_rejects_mismatched_input():
 
 # -- identity suite ----------------------------------------------------------------
 
+def test_record_outcomes():
+    def record(pairs):
+        d = verify._record("x", "rv", F(1, 2), 3, pairs).to_dict()
+        return d["status"], d["first_failure"], d["lhs"], d["rhs"]
+
+    third = float(F(1, 3))
+    # exact pairs compare with ==, a failure shows both sides with str
+    assert record([((0,), F(1), F(1)), ((1, 2), F(1, 3), F(2, 7))]) == (
+        "fail", [1, 2], "1/3", "2/7"
+    )
+    # a stabilized NumericResult outside tolerance fails even after an
+    # unstabilized one; numeric sides show with .12g
+    assert record([
+        ((0, 0), F(1, 3), NumericResult(0.5, 12, False)),
+        ((1, 0), F(2, 3), NumericResult(0.7, 12, True)),
+    ]) == ("fail", [1, 0], "0.666666666667", "0.7")
+    # unstabilized values never fail: the first one is reported
+    assert record([
+        ((0, 0), F(1, 3), NumericResult(third, 12, True)),
+        ((1, 0), F(-2, 3), NumericResult(0.5, 12, False)),
+        ((2, 1), F(5), NumericResult(6.0, 12, False)),
+    ]) == ("inconclusive", [1, 0], "-0.666666666667", "0.5")
+    assert record([
+        ((0,), F(1, 3), F(1, 3)),
+        ((0, 0), F(1, 3), NumericResult(third * (1 + 1e-10), 12, True)),
+    ]) == ("pass", None, None, None)
+
+
 def test_identity_suite_passes_for_geometric():
     report = identity_suite(RandomVar.geometric(F(1, 3)), F(1, 2), 6)
     assert report.passed, [r.identity for r in report.failures()]
@@ -127,11 +167,12 @@ def test_identity_suite_rejects_zero_mean():
         identity_suite(RandomVar.custom([F(1), F(0), F(1)]), 0, 2)
 
 
-def test_perturbed_moment_fails_the_suite():
-    report = identity_suite(
-        RandomVar.geometric(F(1, 3)), F(1, 2), 5,
-        moment_perturbation=(3, F(1, 7)),
+def test_perturbed_moment_fails_the_suite(monkeypatch):
+    original = verify.moment_oracle
+    monkeypatch.setattr(
+        verify, "moment_oracle", lambda rv, n: original(rv, n) + (F(1, 7) if n == 3 else 0)
     )
+    report = identity_suite(RandomVar.geometric(F(1, 3)), F(1, 2), 5)
     assert report.failed
     assert any(r.identity == "mgf-vs-moments" for r in report.failures())
 
