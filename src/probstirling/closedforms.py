@@ -390,15 +390,14 @@ def _normal_s1(mu: Fraction, sigma2: Fraction, lam: Fraction,
 
 # The second kind sums (p-1)^j a_k(j)/j! (j)_{n,lam} over j: the weights
 # depend on (p, r, k) and the falling-factorial column on (n, lam) only, so
-# the weights are built once per depth bucket and the column once per depth,
-# each shared by every entry that needs it.
+# each is built once per depth and shared by every entry that needs it.
 @lru_cache(maxsize=CACHE_BOUND)
-def _nb_s2_weights(p: Fraction, r: int, k: int, bucket: int) -> tuple:
-    """(p-1)^j a_k(j) / j! for j = 0..bucket, where
+def _nb_s2_weights(p: Fraction, r: int, k: int, depth: int) -> tuple:
+    """(p-1)^j a_k(j) / j! for j = 0..depth, where
     a_k(j) = sum_m (-r)^m s1(j, m) sum_l (p^r - 1)^(k-l) p^(r l) S2(m, l) / (k-l)!."""
-    s2c, s1c = _tab("s2", _ZERO, bucket), _tab("s1", _ZERO, bucket)
-    inner = []  # the sums over l, for m = 0..bucket
-    for m in range(bucket + 1):
+    s2c, s1c = _tab("s2", _ZERO, depth), _tab("s1", _ZERO, depth)
+    inner = []  # the sums over l, for m = 0..depth
+    for m in range(depth + 1):
         total = _ZERO
         for l in range(min(m, k) + 1):
             s2v = s2c.value(m, l)
@@ -406,7 +405,7 @@ def _nb_s2_weights(p: Fraction, r: int, k: int, bucket: int) -> tuple:
                 total += (p**r - 1) ** (k - l) * p ** (r * l) * s2v / factorial(k - l)
         inner.append(total)
     weights = []
-    for j in range(bucket + 1):
+    for j in range(depth + 1):
         a = _ZERO
         for m in range(j + 1):
             s1v = s1c.value(j, m)
@@ -426,7 +425,7 @@ def _nb_s2(p: Fraction, r: int, lam: Fraction,
            n: int, k: int, depth: int) -> NumericResult:
     """Exact partial sums to depth and to depth - 5, in one pass."""
     total = short = _ZERO
-    weights = _nb_s2_weights(p, r, k, _bucket(depth))
+    weights = _nb_s2_weights(p, r, k, depth)
     terms = zip(weights, _falling_column(n, lam, depth))
     for j, (weight, falling) in enumerate(terms):
         if weight:

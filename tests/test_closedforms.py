@@ -90,10 +90,10 @@ def test_gamma_normal_forms_are_exact_and_depth_free(rv):
 
 def test_normal_printed_formulas_need_nonzero_lam():
     rv = RandomVar.normal(1, 1)
-    with pytest.raises(ValueError):
-        closed_form(rv, 0, "s1", 2, 1)
-    with pytest.raises(ValueError):
-        closed_form(rv, 0, "log", 2)
+    # the log is the first kind at k = 1, so both refuse with one message
+    for args in (("s1", 2, 1), ("log", 2)):
+        with pytest.raises(ValueError, match="normal first-kind formula needs lam != 0"):
+            closed_form(rv, 0, *args)
 
 
 def test_negbinomial_split():
