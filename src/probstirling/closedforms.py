@@ -18,6 +18,14 @@ stabilization flag instead of a convergence proof.  Their partial sums are
 accumulated in exact rational arithmetic; floating point only enters for the
 irrational scale factors of the first kind (and for the final comparison
 value).
+
+Some printed sums are re-associated, each to the same exact value and
+without leaving this module's route: the negative-binomial second kind sums
+its double sum over Stirling tables through one integer connection table
+T(j, l), (-r y)_j = sum_l T(j, l) (y)_l, built by its own recurrence, and
+the gamma second kind's inner sum is a finite difference that vanishes
+below the diagonal.  The negative-binomial partial sums are integer dot
+products over one common denominator per sequence.
 """
 
 from __future__ import annotations
@@ -128,25 +136,18 @@ def _s2_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
                 total += c * alpha ** (-j) * lam ** (n - j) * s1c.value(n, j)
         return total
     if kind == "gamma":
+        # the printed inner sum over j, sum_j (-1)^(k-j) C(k, j) (alpha j + l - 1)_l,
+        # is (-1)^(k+l) _alt_difference(-alpha, l, k), hence 0 for l < k
         alpha, beta = rv.param("alpha"), rv.param("beta")
         s1c = _tab("s1", _ZERO, n)
         total = _ZERO
-        for l in range(n + 1):
+        for l in range(k, n + 1):
             s1v = s1c.value(n, l)
             if not s1v:
                 continue
-            for j in range(k + 1):
-                sign = -1 if (k - j) % 2 else 1
-                total += (
-                    sign
-                    * binom(k, j)
-                    * falling_factorial(alpha * j + l - 1, l, 1)
-                    * beta ** (-l)
-                    * lam ** (n - l)
-                    * s1v
-                    / factorial(k)
-                )
-        return total
+            term = _alt_difference(-alpha, l, k) * beta ** (-l) * lam ** (n - l) * s1v
+            total += -term if (k + l) % 2 else term
+        return total / factorial(k)
     if kind == "geometric":
         p = rv.param("p")
         u = 1 / (1 - p)
@@ -388,50 +389,74 @@ def _normal_s1(mu: Fraction, sigma2: Fraction, lam: Fraction,
 # Negative binomial: genuinely infinite, partial sums at depth - 5 and depth
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=CACHE_BOUND)
+def _nb_connection(r: int, depth: int) -> tuple:
+    """Rows j = 0..depth of the integers T(j, l) with (-r y)_j = sum_l T(j, l) (y)_l.
+
+    T(j, l) = sum_m (-r)^m s1(j, m) S2(m, l), built without either table by
+    T(j, l) = -r T(j-1, l-1) - (r l + j - 1) T(j-1, l), from
+    (y)_l (-r y - (j-1)) = -r (y)_{l+1} - (r l + j - 1) (y)_l.
+    """
+    rows = [(1,)]
+    for j in range(1, depth + 1):
+        prev = rows[-1]
+        row = [0] * (j + 1)
+        for l in range(j + 1):
+            above_left = prev[l - 1] if l else 0
+            above = prev[l] if l < j else 0
+            row[l] = -r * above_left - (r * l + j - 1) * above
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 # The second kind sums (p-1)^j a_k(j)/j! (j)_{n,lam} over j: the weights
 # depend on (p, r, k) and the falling-factorial column on (n, lam) only, so
 # each is built once per depth and shared by every entry that needs it.
 @lru_cache(maxsize=CACHE_BOUND)
 def _nb_s2_weights(p: Fraction, r: int, k: int, depth: int) -> tuple:
-    """(p-1)^j a_k(j) / j! for j = 0..depth, where
-    a_k(j) = sum_m (-r)^m s1(j, m) sum_l (p^r - 1)^(k-l) p^(r l) S2(m, l) / (k-l)!."""
-    s2c, s1c = _tab("s2", _ZERO, depth), _tab("s1", _ZERO, depth)
-    inner = []  # the sums over l, for m = 0..depth
-    for m in range(depth + 1):
-        total = _ZERO
-        for l in range(min(m, k) + 1):
-            s2v = s2c.value(m, l)
-            if s2v:
-                total += (p**r - 1) ** (k - l) * p ** (r * l) * s2v / factorial(k - l)
-        inner.append(total)
+    """(p-1)^j a_k(j) / j! for j = 0..depth, where the printed
+    a_k(j) = sum_m (-r)^m s1(j, m) sum_l (p^r - 1)^(k-l) p^(r l) S2(m, l) / (k-l)!
+    is summed over m first: a_k(j) = sum_{l <= min(j, k)} T(j, l) c_l, with
+    T the connection table of `_nb_connection` and
+    c_l = (p^r - 1)^(k-l) p^(r l) / (k-l)!."""
+    c = [(p**r - 1) ** (k - l) * p ** (r * l) / factorial(k - l) for l in range(k + 1)]
     weights = []
-    for j in range(depth + 1):
-        a = _ZERO
-        for m in range(j + 1):
-            s1v = s1c.value(j, m)
-            if s1v:
-                a += (-r) ** m * s1v * inner[m]
+    for j, row in enumerate(_nb_connection(r, depth)):
+        a = sum((row[l] * c[l] for l in range(min(j, k) + 1)), _ZERO)
         weights.append((p - 1) ** j * a / factorial(j))
     return tuple(weights)
 
 
 @lru_cache(maxsize=CACHE_BOUND)
 def _falling_column(n: int, lam: Fraction, depth: int) -> tuple:
-    """(j)_{n,lam} for j = 0..depth."""
-    return tuple(falling_factorial(j, n, lam) for j in range(depth + 1))
+    """(j)_{n,lam} for j = 0..depth, one factor (j - (n-1) lam) on the column for n - 1."""
+    if n == 0:
+        return (_ONE,) * (depth + 1)
+    shift = (n - 1) * lam
+    return tuple(f * (j - shift) for j, f in enumerate(_falling_column(n - 1, lam, depth)))
+
+
+def _partial_sums(a: tuple, b: tuple, depth: int) -> tuple:
+    """sum_j a_j b_j over j <= depth and over j <= depth - 5, both exact,
+    as integer dot products over one common denominator per sequence."""
+    a, b = a[: depth + 1], b[: depth + 1]
+    da = math.lcm(*(x.denominator for x in a))
+    db = math.lcm(*(x.denominator for x in b))
+    products = [
+        x.numerator * (da // x.denominator) * y.numerator * (db // y.denominator)
+        for x, y in zip(a, b)
+    ]
+    short = sum(products[: depth - 4])
+    total = short + sum(products[depth - 4:])
+    return Fraction(total, da * db), Fraction(short, da * db)
 
 
 def _nb_s2(p: Fraction, r: int, lam: Fraction,
            n: int, k: int, depth: int) -> NumericResult:
     """Exact partial sums to depth and to depth - 5, in one pass."""
-    total = short = _ZERO
-    weights = _nb_s2_weights(p, r, k, depth)
-    terms = zip(weights, _falling_column(n, lam, depth))
-    for j, (weight, falling) in enumerate(terms):
-        if weight:
-            total += weight * falling
-        if j == depth - 5:
-            short = total
+    total, short = _partial_sums(
+        _nb_s2_weights(p, r, k, depth), _falling_column(n, lam, depth), depth
+    )
     return NumericResult.from_partials(total, short, depth)
 
 
@@ -446,25 +471,31 @@ def _deg_log_power(lam: Fraction, nmax: int, l: int) -> Series:
 
 
 @lru_cache(maxsize=CACHE_BOUND)
-def _nb_s1_inners(p: Fraction, r: int, lam: Fraction, n: int, depth: int) -> tuple:
-    """For l = 0..n, the exact inner sums over m to depth and to depth - 5."""
-    nmax = _bucket(depth)  # one power table for nearby depths
-    signed = [
+def _deg_s1_column(lam: Fraction, nmax: int, l: int) -> tuple:
+    """m! [t^m] deg_log(lam)**l / l! for m = 0..nmax: column l of the
+    degenerate first kind, read once from the power table for every n."""
+    power, lf = _deg_log_power(lam, nmax, l), factorial(l)
+    return tuple(power.egf(m) / lf for m in range(nmax + 1))
+
+
+@lru_cache(maxsize=CACHE_BOUND)
+def _nb_s1_signed(p: Fraction, r: int, n: int, depth: int) -> tuple:
+    """(-p)^m (-m/r)_n / m! for m = 0..depth, shared by every lam."""
+    return tuple(
         (-p) ** m * falling_factorial(Fraction(-m, r), n, 1) / factorial(m)
         for m in range(depth + 1)
-    ]
-    out = []
-    for l in range(n + 1):
-        power, lf = _deg_log_power(lam, nmax, l), factorial(l)
-        total = short = _ZERO
-        for m in range(l, depth + 1):
-            s1v = power.egf(m) / lf
-            if s1v:
-                total += signed[m] * s1v
-            if m == depth - 5:
-                short = total
-        out.append((total, short))
-    return tuple(out)
+    )
+
+
+@lru_cache(maxsize=CACHE_BOUND)
+def _nb_s1_inners(p: Fraction, r: int, lam: Fraction, n: int, depth: int) -> tuple:
+    """For l = 0..n, the exact inner sums over m to depth and to depth - 5
+    (column l is 0 above row l, so every sum may start at m = 0)."""
+    nmax = _bucket(depth)  # one power table for nearby depths
+    signed = _nb_s1_signed(p, r, n, depth)
+    return tuple(
+        _partial_sums(signed, _deg_s1_column(lam, nmax, l), depth) for l in range(n + 1)
+    )
 
 
 def _nb_s1(p: Fraction, r: int, lam: Fraction,

@@ -23,8 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, lru_cache, partial
-from math import factorial
+from functools import cache, lru_cache
+from math import factorial, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -211,23 +211,30 @@ def stirling1_deg_oracle(nmax: int, lam: Fraction) -> tuple:
     return _recurrence_table(nmax, lambda m, k: k * lam - m)
 
 
-def _incl_excl(k: int, f) -> Fraction:
-    """(1/k!) sum_j (-1)^(k-j) C(k, j) f(j): the k-th difference of f at 0, over k!."""
-    total = _ZERO
-    for j in range(k + 1):
-        term = binom(k, j) * f(j)
-        total += -term if (k - j) % 2 else term
-    return total / factorial(k)
+def _incl_excl_row(values: Sequence[Fraction]) -> tuple:
+    """(1/k!) sum_j (-1)^(k-j) C(k, j) f(j) for k = 0..len(values) - 1, from
+    values = f(0), f(1), ...: the k-th differences of f at 0, over k!.
+
+    The differences are taken on integer numerators over one common
+    denominator, so each entry costs one Fraction.
+    """
+    d = lcm(*(v.denominator for v in values))
+    diffs = [v.numerator * (d // v.denominator) for v in values]
+    row = []
+    for k in range(len(values)):
+        row.append(Fraction(diffs[0], d * factorial(k)))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return tuple(row)
 
 
 def stirling2_deg_incl_excl(n: int, k: int, lam: Fraction) -> Fraction:
     """Degenerate second-kind entry from the inclusion-exclusion sum."""
-    return _incl_excl(k, lambda j: falling_factorial(j, n, lam))
+    return _incl_excl_row([falling_factorial(j, n, lam) for j in range(k + 1)])[k]
 
 
 def rising_incl_excl(n: int, k: int, lam: Fraction) -> Fraction:
     """Rising-factorial connection entry from its inclusion-exclusion sum."""
-    return _incl_excl(k, lambda j: rising_factorial(j, n, lam))
+    return _incl_excl_row([rising_factorial(j, n, lam) for j in range(k + 1)])[k]
 
 
 def lah_closed(n: int, k: int) -> Fraction:
@@ -470,12 +477,17 @@ def _lam_only_records(lam: Fraction, nmax: int) -> tuple:
     det_lah = triangle("lah", _ZERO, nmax)
     e_delta = deg_exp(lam, 1, nmax + 1) - Series.one(nmax + 1)
 
+    # row n reads the order-n numbers at t^0..t^(n-1) only: at k = 0 the
+    # factor C(n-1, -1) is 0, so each series is built to order n - 1
+    def bridge(numbers: Series, n: int, k: int) -> Fraction:
+        return binom(n - 1, k - 1) * numbers.egf(n - k) if k else _ZERO
+
     def first_kind_order_bridge():
         for n in range(1, nmax + 1):
-            bern_n = order_numbers(lam, n, 0, "bernoulli", nmax)
+            bern_n = order_numbers(lam, n, 0, "bernoulli", n - 1)
             for k in range(n + 1):
                 lhs = det_t1.value(n, k)
-                yield (n, k, 1), lhs, binom(n - 1, k - 1) * bern_n.egf(n - k)
+                yield (n, k, 1), lhs, bridge(bern_n, n, k)
                 if k >= 1:
                     extracted = lagrange_extract(None, e_delta, n, k, "B")
                     yield (n, k, 2), lhs, extracted * Fraction(
@@ -484,11 +496,11 @@ def _lam_only_records(lam: Fraction, nmax: int) -> tuple:
 
     def second_kind_cauchy_bridge():
         for n in range(1, nmax + 1):
-            cau_pos = order_numbers(lam, n, 0, "cauchy", nmax)
-            cau_neg = order_numbers(-lam, n, 0, "cauchy", nmax)
+            cau_pos = order_numbers(lam, n, 0, "cauchy", n - 1)
+            cau_neg = order_numbers(-lam, n, 0, "cauchy", n - 1)
             for k in range(n + 1):
-                yield (n, k, 1), det_h.value(n, k), binom(n - 1, k - 1) * cau_neg.egf(n - k)
-                yield (n, k, 2), det_t2.value(n, k), binom(n - 1, k - 1) * cau_pos.egf(n - k)
+                yield (n, k, 1), det_h.value(n, k), bridge(cau_neg, n, k)
+                yield (n, k, 2), det_t2.value(n, k), bridge(cau_pos, n, k)
 
     det_s1c = stirling1_oracle(nmax)
     det_s2c = stirling2_oracle(nmax)
@@ -621,10 +633,10 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     # second-kind entries: powers vs inclusion-exclusion vs partial Bell
     def second_kind_three_way():
         for n in range(nmax + 1):
+            incl = _incl_excl_row([sj_moment(rv, lam, j, n) for j in range(n + 1)])
             for k in range(n + 1):
                 engine = t2big.value(n, k)
-                incl = _incl_excl(k, lambda j: sj_moment(rv, lam, j, n))
-                yield (n, k, 1), engine, incl
+                yield (n, k, 1), engine, incl[k]
                 yield (n, k, 2), engine, falling_bell.value(n, k)
 
     rec(_record("second-kind-three-way", desc, lam, nmax, second_kind_three_way()))
@@ -651,11 +663,11 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     def rising_second_kind():
         for n in range(nmax + 1):
             sign = -1 if n % 2 else 1
+            incl = _incl_excl_row([sj_moment(rv, -lam, j, n) for j in range(n + 1)])
             for k in range(n + 1):
                 h = thbig.value(n, k)
                 yield (n, k, 1), h, sign * neg_t2.value(n, k)
-                incl = _incl_excl(k, lambda j: sj_moment(rv, -lam, j, n))
-                yield (n, k, 2), h, incl
+                yield (n, k, 2), h, incl[k]
                 yield (n, k, 3), h, rising_bell.value(n, k)
 
     rec(_record("rising-second-kind-four-way", desc, lam, nmax, rising_second_kind()))
@@ -884,12 +896,20 @@ def limit_suite(nmax: int) -> VerificationReport:
             (((n,), engine(x, n, 1), classical(x, n)) for n in range(small + 1)),
         ))
 
+    def incl_excl_table(factorial_fn, lam: Fraction):
+        # one inclusion-exclusion row per n, over f(j) = factorial_fn(j, n, lam)
+        rows = [
+            _incl_excl_row([factorial_fn(j, n, lam) for j in range(n + 1)])
+            for n in range(nmax + 1)
+        ]
+        return lambda n, k: rows[n][k]
+
     triangle_records(
         row
         for lam in (Fraction(1, 2), Fraction(-1, 3))
         for row in (
-            ("deg-s2-incl-excl", lam, "s2", partial(stirling2_deg_incl_excl, lam=lam)),
-            ("rising-incl-excl", lam, "h", partial(rising_incl_excl, lam=lam)),
+            ("deg-s2-incl-excl", lam, "s2", incl_excl_table(falling_factorial, lam)),
+            ("rising-incl-excl", lam, "h", incl_excl_table(rising_factorial, lam)),
             ("deg-s1-recurrence", lam, "s1",
              lambda n, k, deg1=stirling1_deg_oracle(nmax, lam): deg1[n][k]),
         )
@@ -901,9 +921,9 @@ def limit_suite(nmax: int) -> VerificationReport:
 
         def classical_prob(rv=rv, t2=t2):
             for n in range(small + 1):
+                incl = _incl_excl_row([sum_power_moment(rv, j, n) for j in range(n + 1)])
                 for k in range(n + 1):
-                    incl = _incl_excl(k, lambda j: sum_power_moment(rv, j, n))
-                    yield (n, k), t2.value(n, k), incl
+                    yield (n, k), t2.value(n, k), incl[k]
 
         rec(_record(
             "prob-classical-limit", rv.describe(), _ZERO, small, classical_prob()

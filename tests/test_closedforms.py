@@ -6,12 +6,18 @@ from math import factorial
 
 import pytest
 
+from probstirling import closedforms
 from probstirling.cli import main
 from probstirling.closedforms import NumericResult, closed_form, uniform_first_kind
 from probstirling.prob import prob_log, prob_triangle
 from probstirling.randomvars import RandomVar
-from probstirling.special import falling_factorial
-from probstirling.verify import identity_suite, stirling1_oracle, stirling2_oracle
+from probstirling.special import binom, falling_factorial
+from probstirling.verify import (
+    identity_suite,
+    stirling1_deg_oracle,
+    stirling1_oracle,
+    stirling2_oracle,
+)
 
 LAM = F(1, 2)
 NMAX = 6
@@ -177,6 +183,100 @@ def test_negbinomial_second_kind_matches_the_term_by_term_sum(r, p):
                     assert closed_form(rv, lam, "s2", n, k, depth) == reference_nb_s2(
                         p, r, lam, n, k, depth
                     ), (lam, depth, n, k)
+
+
+def reference_nb_s1_inners(p, r, lam, n, depth):
+    """The inner sums over m of the negative-binomial first kind, term by
+    term in Fraction, with each column from the degenerate recurrence oracle."""
+    s1 = stirling1_deg_oracle(depth, lam)
+    out = []
+    for l in range(n + 1):
+        total = short = F(0)
+        for m in range(l, depth + 1):
+            signed = (-p) ** m * falling_factorial(F(-m, r), n, 1) / factorial(m)
+            total += signed * s1[m][l]
+            if m == depth - 5:
+                short = total
+        out.append((total, short))
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "r, p", [(2, F(1, 2)), (3, F(2, 5))], ids=["r2-p1/2", "r3-p2/5"]
+)
+def test_negbinomial_first_kind_inner_sums_match_the_term_by_term_sum(r, p):
+    # at depth 10, rows l > 5 start past depth - 5, so their short sums are 0
+    for lam in (F(0), F(1, 2), F(-1, 3)):
+        for depth in (10, 60):
+            for n in range(11):
+                assert closedforms._nb_s1_inners(p, r, lam, n, depth) == (
+                    reference_nb_s1_inners(p, r, lam, n, depth)
+                ), (lam, depth, n)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_negbinomial_connection_table_is_the_stirling_double_sum(r):
+    depth = 30
+    s1, s2 = stirling1_oracle(depth), stirling2_oracle(depth)
+    table = closedforms._nb_connection(r, depth)
+    assert len(table) == depth + 1
+    for j, row in enumerate(table):
+        assert len(row) == j + 1
+        assert all(type(t) is int for t in row)
+        for l, t in enumerate(row):
+            assert t == sum((-r) ** m * s1[j][m] * s2[m][l] for m in range(l, j + 1)), (j, l)
+
+
+def literal_gamma_inner(alpha, k, l):
+    """The printed inner sum of the gamma second kind, j = 0..k."""
+    return sum(
+        (-1) ** (k - j) * binom(k, j) * falling_factorial(alpha * j + l - 1, l, 1)
+        for j in range(k + 1)
+    )
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), F(2), F(3, 7), F(5)], ids=str)
+def test_gamma_inner_sum_is_an_alternating_difference(alpha):
+    for k in range(11):
+        for l in range(11):
+            literal = literal_gamma_inner(alpha, k, l)
+            assert literal == (-1) ** (k + l) * closedforms._alt_difference(-alpha, l, k)
+            if l < k:
+                assert literal == 0, (k, l)
+
+
+def literal_gamma_s2(alpha, beta, lam, n, k):
+    """The printed gamma second kind, every l from 0 and the inner j-loop inline."""
+    s1 = stirling1_oracle(n)
+    return sum(
+        s1[n][l] * literal_gamma_inner(alpha, k, l) * beta ** (-l) * lam ** (n - l)
+        for l in range(n + 1)
+    ) / factorial(k)
+
+
+@pytest.mark.parametrize(
+    "rv", [RandomVar.gamma(F(3, 7), 2), RandomVar.gamma(5, F(1, 3))],
+    ids=lambda r: r.describe(),
+)
+def test_gamma_second_kind_matches_the_printed_double_sum(rv):
+    alpha, beta = rv.param("alpha"), rv.param("beta")
+    for lam in (F(0), F(-1, 3)):
+        for n in range(9):
+            for k in range(n + 1):
+                assert closed_form(rv, lam, "s2", n, k) == literal_gamma_s2(
+                    alpha, beta, lam, n, k
+                ), (lam, n, k)
+
+
+@pytest.mark.parametrize("lam", [F(0), F(1, 2), F(-1, 3)], ids=str)
+def test_negbinomial_first_kind_column_is_the_degenerate_first_kind(lam):
+    nmax = 30
+    oracle = stirling1_deg_oracle(nmax, lam)
+    for l in range(9):
+        column = closedforms._deg_s1_column(lam, nmax, l)
+        assert column == tuple(
+            oracle[m][l] if l <= m else 0 for m in range(nmax + 1)
+        ), l
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The integer kernels of `Series` against plain `Fraction` loops, and fault
-injection into them (the route-independence guard on `revert` is the
-Lambert-W test in `test_series.py`).
+injection into them and into the closed-form and inclusion-exclusion routes
+(the route-independence guard on `revert` is the Lambert-W test in
+`test_series.py`).
 
 The reference functions below are the coefficient loops `Series` ran before
 its kernels moved to integer numerators over a common denominator.  They
@@ -310,22 +311,57 @@ def faulty_method(name):
     return perturbed
 
 
-# route -> what identity_suite(poisson(2), 1/2, 4) does with that route's
-# top output coefficient raised by 1/7: the bundle's round trip
-# compose(delta, revert(delta)) = t raises, or these records fail
+# route -> what identity_suite(poisson(2), 1/2, 4) and limit_suite(4) do with
+# that route's top output raised by 1/7: the bundle's round trip
+# compose(delta, revert(delta)) = t raises in both, or these records fail
+# (identity_suite's, limit_suite's)
+ROUND_TRIP = "round-trip assertion"
 ROUTE_OUTCOMES = {
-    "_scaled": "round-trip assertion",
-    "__mul__": "round-trip assertion",
-    "revert": "round-trip assertion",
-    "pow": frozenset({
-        "bernoulli-double-sum", "bernoulli-from-shifted-bell",
-        "cauchy-bernoulli-ratio", "cauchy-from-first-kind",
-        "daehee-bernoulli-ratio", "daehee-from-first-kind",
-        "first-kind-order-bridge", "mgf-vs-moments",
-        "rising-second-kind-four-way", "second-kind-three-way",
-        "shifted-bell-vs-second-kind", "triangle-connections",
-    }),
+    "_scaled": ROUND_TRIP,
+    "__mul__": ROUND_TRIP,
+    "revert": ROUND_TRIP,
+    "pow": (
+        frozenset({
+            "bernoulli-double-sum", "bernoulli-from-shifted-bell",
+            "cauchy-bernoulli-ratio", "cauchy-from-first-kind",
+            "daehee-bernoulli-ratio", "daehee-from-first-kind",
+            "first-kind-order-bridge", "mgf-vs-moments",
+            "rising-second-kind-four-way", "second-kind-cauchy-bridge",
+            "second-kind-three-way", "shifted-bell-vs-second-kind",
+            "triangle-connections",
+        }),
+        frozenset({"deg-s1-recurrence", "pointmass-reduction", "prob-classical-limit"}),
+    ),
+    "closed_form": (
+        frozenset({"closed-form-s1", "closed-form-s2", "closed-form-log"}),
+        frozenset(),
+    ),
+    "_incl_excl_row": (
+        frozenset({"rising-second-kind-four-way", "second-kind-three-way"}),
+        frozenset({"deg-s2-incl-excl", "prob-classical-limit", "rising-incl-excl"}),
+    ),
 }
+
+_real_closed_form = verify.closed_form
+_real_incl_excl_row = verify._incl_excl_row
+
+
+def faulty_closed_form(*args):
+    # every poisson closed form is an exact Fraction, one value per call
+    return _real_closed_form(*args) + F(1, 7)
+
+
+def faulty_incl_excl_row(values):
+    row = list(_real_incl_excl_row(values))
+    row[-1] += F(1, 7)
+    return tuple(row)
+
+
+VERIFY_FAULTS = {"closed_form": faulty_closed_form, "_incl_excl_row": faulty_incl_excl_row}
+
+
+def failed_identities(report):
+    return {r.identity for r in report.records if r.status == "fail"}
 
 
 @pytest.mark.parametrize("route", sorted(ROUTE_OUTCOMES))
@@ -334,16 +370,21 @@ def test_fault_in_a_kernel_is_caught(route, monkeypatch):
     try:
         if route == "_scaled":
             monkeypatch.setattr(series_module, "_scaled", faulty_scaled)
+        elif route in VERIFY_FAULTS:
+            monkeypatch.setattr(verify, route, VERIFY_FAULTS[route])
         else:
             monkeypatch.setattr(Series, route, faulty_method(route))
+        suites = (
+            lambda: identity_suite(RandomVar.poisson(2), F(1, 2), 4),
+            lambda: verify.limit_suite(4),
+        )
         expected = ROUTE_OUTCOMES[route]
-        if expected == "round-trip assertion":
-            with pytest.raises(AssertionError, match="reversion failed to invert"):
-                identity_suite(RandomVar.poisson(2), F(1, 2), 4)
+        if expected == ROUND_TRIP:
+            for suite in suites:
+                with pytest.raises(AssertionError, match="reversion failed to invert"):
+                    suite()
         else:
-            report = identity_suite(RandomVar.poisson(2), F(1, 2), 4)
-            failed = {r.identity for r in report.records if r.status == "fail"}
-            assert failed == expected
+            assert [failed_identities(suite()) for suite in suites] == list(expected)
     finally:
         monkeypatch.undo()
         clear_module_caches()

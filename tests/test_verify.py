@@ -1,16 +1,19 @@
 """Verification suites, oracles, reports and the Monte Carlo layer."""
 
 import dataclasses
+from math import factorial
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probstirling import verify
 from probstirling.closedforms import NumericResult
 from probstirling.prob import prob_triangle, sj_moment
 from probstirling.randomvars import RandomVar
 from probstirling.series import Series
-from probstirling.special import triangle
+from probstirling.special import binom, triangle
 from probstirling.verify import (
     check_orthogonality,
     eq_identities_pass,
@@ -48,6 +51,24 @@ def test_degenerate_oracles_match_engine_tables():
         for k in range(n + 1):
             assert deg1[n][k] == t1.value(n, k)
             assert stirling2_deg_incl_excl(n, k, lam) == t2.value(n, k)
+
+
+def literal_incl_excl(k, values):
+    """(1/k!) sum_j (-1)^(k-j) C(k, j) f(j), one entry at a time."""
+    total = F(0)
+    for j in range(k + 1):
+        term = binom(k, j) * values[j]
+        total += -term if (k - j) % 2 else term
+    return total / factorial(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30),
+                max_size=11))
+def test_incl_excl_row_matches_the_entrywise_sum(values):
+    row = verify._incl_excl_row(values)
+    assert row == tuple(literal_incl_excl(k, values) for k in range(len(values)))
+    assert all(type(entry) is F for entry in row)
 
 
 @pytest.mark.parametrize(
@@ -248,13 +269,13 @@ def test_lam_only_records_are_shared_across_distributions(monkeypatch):
 
 
 def test_fault_in_a_shared_record_fails_every_suite(monkeypatch):
-    # bumps the highest coefficient the bridges read: t^(nmax-1) of a series
-    # truncated at nmax (t^nmax only ever meets the factor C(n-1, -1) = 0)
+    # bumps the top coefficient of each series, the highest one the bridges
+    # read: row n builds its order-n numbers to t^(n-1) and reads them all
     real = verify.order_numbers
 
     def perturbed(*args):
         cs = list(real(*args).coeffs)
-        cs[-2] += F(1, 7)
+        cs[-1] += F(1, 7)
         return Series(cs)
 
     rvs = (RandomVar.poisson(2), RandomVar.geometric(F(1, 3)), RandomVar.uniform01())
