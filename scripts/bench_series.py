@@ -1,9 +1,12 @@
-"""Per-operation micro-benchmark of the exact `Series` core.
+"""Per-operation micro-benchmark of the exact `Series` core and the triangles.
 
 Times mul, div, exp, log1p, pow, compose and revert at N = 20/40/80 on the
 series the engine builds for Poisson(2) at lam = 1/2: the degenerate moment
 series m, its delta series m - 1 and that series' compositional inverse h
-(dense, with zero constant term, so exp and log1p take h).
+(dense, with zero constant term, so exp and log1p take h).  The two
+`special.triangle_from_base` rows build the order-N table over each base
+the probabilistic triangles use: m - 1 (the second kind) and h (the first
+kind).
 Each row is the minimum over five repeats of one call, in milliseconds, so a
 slow spell of the host inflates fewer rows than a mean would.
 
@@ -30,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from probstirling.prob import bundle, mgf_deg  # noqa: E402
 from probstirling.randomvars import RandomVar  # noqa: E402
 from probstirling.series import Series  # noqa: E402
+from probstirling.special import triangle_from_base  # noqa: E402
 
 LAM = Fraction(1, 2)
 REPEATS = 5
@@ -51,6 +55,8 @@ def cases(order: int) -> dict:
         "pow": lambda: mgf.pow(Fraction(1, 2)),
         "compose": lambda: delta.compose(reverted),
         "revert": lambda: delta.revert(),
+        "triangle_from_base(m - 1)": lambda: triangle_from_base(delta, "s2", LAM, order),
+        "triangle_from_base(h)": lambda: triangle_from_base(reverted, "s1", LAM, order),
     }
 
 
@@ -75,9 +81,9 @@ def main(argv=None) -> int:
         print(json.dumps({"python": platform.python_version(), "repeats": REPEATS,
                           "rows": rows}, indent=1))
     else:
-        print(f"{'op':<8} {'N':>4} {'min ms':>10}")
+        print(f"{'op':<26} {'N':>4} {'min ms':>10}")
         for row in rows:
-            print(f"{row['op']:<8} {row['n']:>4} {row['min_ms']:>10.3f}")
+            print(f"{row['op']:<26} {row['n']:>4} {row['min_ms']:>10.3f}")
     return 0
 
 

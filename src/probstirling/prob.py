@@ -208,7 +208,7 @@ def prob_triangle(rv: RandomVar, lam: Scalar, family: str, nmax: int) -> Triangl
         base = mgf_deg(rv, base_lam, order) - Series.one(order)
     else:
         base = bundle(rv, base_lam, order).reverted
-    return triangle_from_base(base.truncate(nmax), "prob-" + family, lam, nmax, params)
+    return triangle_from_base(base, "prob-" + family, lam, nmax, params)
 
 
 def sj_moment(rv: RandomVar, lam: Scalar, j: int, n: int) -> Fraction:

@@ -9,6 +9,12 @@ auxiliary families (Bernoulli-Pade, degenerate Frobenius-Euler).
 The Stirling-type triangles are always computed from their generating
 functions; closed-form and recurrence-based duplicates live in
 :mod:`probstirling.verify` so the two computation paths stay independent.
+Every one of them, deterministic or probabilistic, is built by
+`triangle_from_base`, which raises the base to its powers on integer
+numerators over one denominator and makes one `Fraction` per table entry.
+It has its own power loop, shared with neither `Series.compose`,
+`Series.revert` nor `Series.__mul__`, so a fault in one of those kernels
+and a fault in the triangles show up as different failures.
 Partial Bell polynomials are the exception: `bell_triangle` fills a whole
 table B_{n,k}, 0 <= k <= n <= nmax, from Comtet's recurrence, touching no
 series arithmetic, so the verification suites can use it as an oracle for
@@ -23,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
+from operator import mul
 from typing import Sequence
 
-from .series import CACHE_BOUND, Series, Scalar, _rat, as_delta
+from .series import CACHE_BOUND, Series, Scalar, _rat, _scaled, as_delta
 
 __all__ = [
     "Triangle",
@@ -168,7 +175,15 @@ def triangle_from_base(base: Series, family: str, lam: Scalar, nmax: int,
                        params: tuple = ()) -> Triangle:
     """Triangle whose (n, k) entry is the EGF coefficient of base**k / k! at n.
 
-    `base` must be a delta series of order >= nmax.
+    `base` must be a series of order >= nmax with zero constant term.  Its
+    first nmax + 1 coefficients are scaled once to integers B over one
+    denominator d; base**k is kept as integer numerators over one
+    denominator, found by one integer convolution of base**(k-1) with B and
+    reduced by the gcd of the whole power, and entry (n, k) is the single
+    `Fraction(p_k[n] * n!, den_k * k!)`.  No `Series` is built, and the
+    power loop is deliberately its own: it must stay independent of
+    `Series.compose`, `Series.revert` and `Series.__mul__`, which the
+    verification suites check against these triangles.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
@@ -176,17 +191,26 @@ def triangle_from_base(base: Series, family: str, lam: Scalar, nmax: int,
         raise ValueError("base series order is smaller than nmax")
     if base.coeffs[0] != 0:
         raise ValueError("triangle base must have zero constant term")
-    b = base.truncate(nmax)
+    b, d = _scaled(base.coeffs[: nmax + 1])
+    rb = b[::-1]  # b_nmax..b_0, so rb[nmax - m] = b_m
     fact = [factorial(i) for i in range(nmax + 1)]
     rows = [[_ZERO] * (n + 1) for n in range(nmax + 1)]
-    power = Series.one(nmax)
-    for k in range(nmax + 1):
-        if k:
-            power = power * b
+    rows[0][0] = _ONE
+    # base**k = power[i] / den; base**(k-1) vanishes below t**(k-1) and b_0 = 0
+    power, den = [1] + [0] * nmax, 1
+    for k in range(1, nmax + 1):
+        power = [0] * k + [
+            sum(map(mul, power[k - 1:n], rb[nmax - n + k - 1:nmax]))
+            for n in range(k, nmax + 1)
+        ]
+        den *= d
+        g = gcd(den, *power)
+        if g > 1:
+            power = [p // g for p in power]
+            den //= g
         for n in range(k, nmax + 1):
-            c = power.coeff(n)
-            if c:
-                rows[n][k] = c * fact[n] / fact[k]
+            if power[n]:
+                rows[n][k] = Fraction(power[n] * fact[n], den * fact[k])
     return Triangle(family, _rat(lam), nmax, tuple(tuple(r) for r in rows), params)
 
 

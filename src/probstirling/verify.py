@@ -775,10 +775,9 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     def order_sum(family: str, sign: int):
         for gamma in gammas:
             d = order_series(family, gamma)
+            weights = [beta(sign * gamma).egf(k) for k in range(nmax + 1)]
             for n in range(nmax + 1):
-                rhs = sum(
-                    (beta(sign * gamma).egf(k) * t1.value(n, k) for k in range(n + 1)), _ZERO
-                )
+                rhs = sum((weights[k] * t1.value(n, k) for k in range(n + 1)), _ZERO)
                 yield (gamma, n), d.egf(n), rhs
 
     def order_ratio(family: str, sign: int):

@@ -1,7 +1,8 @@
 """The integer kernels of `Series` against plain `Fraction` loops, and fault
-injection into them and into the closed-form and inclusion-exclusion routes
-(the route-independence guard on `revert` is the Lambert-W test in
-`test_series.py`).
+injection into them and into the closed-form, inclusion-exclusion and
+`special.triangle_from_base` routes (the route-independence guard on
+`revert` is the Lambert-W test in `test_series.py`; `triangle_from_base`
+is checked against its old `Series`-product loop in `test_special.py`).
 
 The reference functions below are the coefficient loops `Series` ran before
 its kernels moved to integer numerators over a common denominator.  They
@@ -9,6 +10,7 @@ work on tuples of `Fraction`, one gcd per product and sum, and share no code
 with `probstirling.series`; every kernel must agree with them under `==`.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -340,10 +342,30 @@ ROUTE_OUTCOMES = {
         frozenset({"rising-second-kind-four-way", "second-kind-three-way"}),
         frozenset({"deg-s2-incl-excl", "prob-classical-limit", "rising-incl-excl"}),
     ),
+    # the recurrence, inclusion-exclusion and closed-form oracles
+    # (closed-form-s1, deg-s1-recurrence, deg-s2-incl-excl, lah-closed-form)
+    # never call triangle_from_base
+    "triangle_from_base": (
+        frozenset({
+            "cauchy-from-first-kind", "closed-form-s1", "daehee-from-first-kind",
+            "first-kind-order-bridge", "first-kind-three-way", "inversion-columns",
+            "inversion-rows", "orthogonality-left", "orthogonality-right",
+            "rising-first-kind-multi-way", "rising-second-kind-four-way",
+            "schlomilch", "schlomilch-rising", "second-kind-cauchy-bridge",
+            "triangle-connections",
+        }),
+        frozenset({
+            "classical-s1-table", "classical-s2-table", "deg-s1-recurrence",
+            "deg-s2-incl-excl", "lah-closed-form", "prob-classical-limit",
+            "rising-incl-excl", "rising-inverse-limit-zero", "rising-limit-one-lah",
+            "rising-limit-zero",
+        }),
+    ),
 }
 
 _real_closed_form = verify.closed_form
 _real_incl_excl_row = verify._incl_excl_row
+_real_triangle_from_base = special.triangle_from_base
 
 
 def faulty_closed_form(*args):
@@ -355,6 +377,13 @@ def faulty_incl_excl_row(values):
     row = list(_real_incl_excl_row(values))
     row[-1] += F(1, 7)
     return tuple(row)
+
+
+def faulty_triangle_from_base(*args, **kwargs):
+    table = _real_triangle_from_base(*args, **kwargs)
+    rows = [list(row) for row in table.rows]
+    rows[-1][-1] += F(1, 7)
+    return replace(table, rows=tuple(map(tuple, rows)))
 
 
 VERIFY_FAULTS = {"closed_form": faulty_closed_form, "_incl_excl_row": faulty_incl_excl_row}
@@ -372,6 +401,10 @@ def test_fault_in_a_kernel_is_caught(route, monkeypatch):
             monkeypatch.setattr(series_module, "_scaled", faulty_scaled)
         elif route in VERIFY_FAULTS:
             monkeypatch.setattr(verify, route, VERIFY_FAULTS[route])
+        elif route == "triangle_from_base":
+            # prob and verify import it by name
+            for module in (special, prob, verify):
+                monkeypatch.setattr(module, route, faulty_triangle_from_base)
         else:
             monkeypatch.setattr(Series, route, faulty_method(route))
         suites = (

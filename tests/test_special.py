@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probstirling import special
+from probstirling.prob import bundle, mgf_deg, prob_triangle
+from probstirling.randomvars import builtin_random_vars
 from probstirling.series import Series
 from probstirling.special import (
     bell_triangle,
@@ -188,6 +190,103 @@ def test_float_lambda_is_refused_after_an_equal_fraction(call):
     call(F(1, 2))
     with pytest.raises(TypeError):
         call(0.5)
+
+
+# -- triangle_from_base against the Series-product loop ----------------------------
+
+def ref_triangle_from_base(base, nmax):
+    """The loop `triangle_from_base` ran before its powers moved to integer
+    numerators: base**k by repeated `Series.__mul__`, then one Fraction
+    multiply and divide per entry.  Returns the rows."""
+    b = base.truncate(nmax)
+    rows = [[F(0)] * (n + 1) for n in range(nmax + 1)]
+    power = Series.one(nmax)
+    for k in range(nmax + 1):
+        if k:
+            power = power * b
+        for n in range(k, nmax + 1):
+            c = power.coeff(n)
+            if c:
+                rows[n][k] = c * factorial(n) / factorial(k)
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("lam", [F(0), F(1, 2), F(-1, 3)])
+def test_probabilistic_triangles_match_the_series_loop(lam):
+    nmax = 30
+    for rv in builtin_random_vars():
+        for family in ("s2", "s1", "h", "g"):
+            base_lam = lam if family in ("s2", "s1") else -lam
+            if family in ("s2", "h"):
+                base = mgf_deg(rv, base_lam, nmax) - Series.one(nmax)
+            else:
+                base = bundle(rv, base_lam, nmax).reverted
+            table = prob_triangle(rv, lam, family, nmax)
+            assert table.rows == ref_triangle_from_base(base, nmax), (rv, family)
+
+
+def test_deterministic_triangles_match_the_series_loop():
+    for family in special.TRIANGLE_FAMILIES:
+        for lam in lam_values:
+            table = triangle(family, lam, 20)
+            assert table.rows == ref_triangle_from_base(
+                special._base_series(family, lam, 20), 20
+            ), (family, lam)
+
+
+_coefficient = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+)
+
+
+@st.composite
+def triangle_bases(draw):
+    """(base, nmax): base of order nmax..nmax+2 and valuation 1 or 2, with
+    any nonzero linear coefficient at valuation 1 and about a third of its
+    other coefficients zero."""
+    nmax = draw(st.integers(0, 12))
+    order = nmax + draw(st.integers(0, 2))
+    cs = draw(st.lists(_coefficient, min_size=order + 1, max_size=order + 1))
+    cs[0] = F(0)
+    if order >= 1:
+        valuation = draw(st.integers(1, 2))
+        cs[1] = (
+            draw(st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool))
+            if valuation == 1
+            else F(0)
+        )
+    return Series(cs), nmax
+
+
+@settings(max_examples=120, deadline=None)
+@given(triangle_bases())
+def test_triangle_from_base_matches_the_series_loop(case):
+    base, nmax = case
+    table = special.triangle_from_base(base, "t", F(1, 2), nmax)
+    assert table.rows == ref_triangle_from_base(base, nmax)
+    assert (table.family, table.lam, table.nmax) == ("t", F(1, 2), nmax)
+
+
+def test_triangle_from_base_uses_no_series_arithmetic(monkeypatch):
+    base = special._base_series("s1", F(1, 3), 12)
+    expected = ref_triangle_from_base(base, 12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("triangle_from_base must not use the series engine")
+
+    for name in ("__init__", "__mul__", "compose", "revert", "pow", "truncate"):
+        monkeypatch.setattr(Series, name, refuse)
+    assert special.triangle_from_base(base, "s1", F(1, 3), 12).rows == expected
+
+
+def test_triangle_from_base_input_validation():
+    base = special._base_series("s2", F(1, 2), 4)
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        special.triangle_from_base(base, "s2", F(1, 2), -1)
+    with pytest.raises(ValueError, match="base series order is smaller than nmax"):
+        special.triangle_from_base(base, "s2", F(1, 2), 5)
+    with pytest.raises(ValueError, match="triangle base must have zero constant term"):
+        special.triangle_from_base(base + Series.one(4), "s2", F(1, 2), 4)
 
 
 # -- partial Bell polynomials -----------------------------------------------------
