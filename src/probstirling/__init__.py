@@ -9,7 +9,15 @@ the moment series of a random variable.  A verification layer recomputes
 every supported identity through independent paths and compares exactly.
 """
 
-from .series import OrderMismatchError, Series, as_delta, coeff_egf, lagrange_extract
+from .series import (
+    OrderMismatchError,
+    Series,
+    as_delta,
+    cache_stats,
+    clear_caches,
+    coeff_egf,
+    lagrange_extract,
+)
 from .special import (
     Triangle,
     bell_triangle,
@@ -59,7 +67,8 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "OrderMismatchError", "Series", "as_delta", "coeff_egf", "lagrange_extract",
+    "OrderMismatchError", "Series", "as_delta", "cache_stats", "clear_caches",
+    "coeff_egf", "lagrange_extract",
     "Triangle", "bell_triangle", "bernoulli_pade_a2", "binom", "deg_exp", "deg_log",
     "falling_factorial", "frobenius_euler", "hetero_bell", "lah_bell",
     "log_deg_exp", "order_numbers", "partial_bell", "rising_factorial",

@@ -33,11 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .randomvars import RandomVar
-from .series import CACHE_BOUND, Scalar, Series, _rat
+from .series import Scalar, Series, _rat, memo
 from .special import (
     binom,
     deg_log,
@@ -283,7 +282,7 @@ def _deg_log_of_unit(r: Series, lam: Fraction) -> Series:
     return (r.pow(lam) - Series.one(order)) / lam
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _log_series(rv: RandomVar, lam: Fraction, order: int) -> Series:
     kind = rv.kind
     one, t = Series.one(order), Series.t(order)
@@ -327,7 +326,7 @@ def _log_value(rv: RandomVar, lam: Fraction, n: int, depth: int) -> Fraction:
 # Gamma and normal: printed as infinite sums, exactly 0 past index n
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _alt_difference(c: Fraction, n: int, l: int) -> Fraction:
     """sum_j (-1)^j C(l, j) (c j)_n: the l-th finite difference of the degree-n
     polynomial j -> (c j)_n, up to sign, hence 0 for every l > n."""
@@ -357,7 +356,7 @@ def _gamma_s1(alpha: Fraction, beta: Fraction, lam: Fraction,
     return total
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _normal_w(mu: Fraction, sigma2: Fraction, lam: Fraction,
               k: int, m: int) -> Fraction:
     # the printed sum over j is infinite, but _alt_difference is 0 past j = m
@@ -389,7 +388,7 @@ def _normal_s1(mu: Fraction, sigma2: Fraction, lam: Fraction,
 # Negative binomial: genuinely infinite, partial sums at depth - 5 and depth
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _nb_connection(r: int, depth: int) -> tuple:
     """Rows j = 0..depth of the integers T(j, l) with (-r y)_j = sum_l T(j, l) (y)_l.
 
@@ -412,7 +411,7 @@ def _nb_connection(r: int, depth: int) -> tuple:
 # The second kind sums (p-1)^j a_k(j)/j! (j)_{n,lam} over j: the weights
 # depend on (p, r, k) and the falling-factorial column on (n, lam) only, so
 # each is built once per depth and shared by every entry that needs it.
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _nb_s2_weights(p: Fraction, r: int, k: int, depth: int) -> tuple:
     """(p-1)^j a_k(j) / j! for j = 0..depth, where the printed
     a_k(j) = sum_m (-r)^m s1(j, m) sum_l (p^r - 1)^(k-l) p^(r l) S2(m, l) / (k-l)!
@@ -427,7 +426,7 @@ def _nb_s2_weights(p: Fraction, r: int, k: int, depth: int) -> tuple:
     return tuple(weights)
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _falling_column(n: int, lam: Fraction, depth: int) -> tuple:
     """(j)_{n,lam} for j = 0..depth, one factor (j - (n-1) lam) on the column for n - 1."""
     if n == 0:
@@ -460,7 +459,7 @@ def _nb_s2(p: Fraction, r: int, lam: Fraction,
     return NumericResult.from_partials(total, short, depth)
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _deg_log_power(lam: Fraction, nmax: int, l: int) -> Series:
     """deg_log(lam)**l to order nmax, built from the (l-1)-th power."""
     if l == 0:
@@ -470,7 +469,7 @@ def _deg_log_power(lam: Fraction, nmax: int, l: int) -> Series:
     return _deg_log_power(lam, nmax, l - 1) * _deg_log_power(lam, nmax, 1)
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _deg_s1_column(lam: Fraction, nmax: int, l: int) -> tuple:
     """m! [t^m] deg_log(lam)**l / l! for m = 0..nmax: column l of the
     degenerate first kind, read once from the power table for every n."""
@@ -478,7 +477,7 @@ def _deg_s1_column(lam: Fraction, nmax: int, l: int) -> tuple:
     return tuple(power.egf(m) / lf for m in range(nmax + 1))
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _nb_s1_signed(p: Fraction, r: int, n: int, depth: int) -> tuple:
     """(-p)^m (-m/r)_n / m! for m = 0..depth, shared by every lam."""
     return tuple(
@@ -487,7 +486,7 @@ def _nb_s1_signed(p: Fraction, r: int, n: int, depth: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _nb_s1_inners(p: Fraction, r: int, lam: Fraction, n: int, depth: int) -> tuple:
     """For l = 0..n, the exact inner sums over m to depth and to depth - 5
     (column l is 0 above row l, so every sum may start at m = 0)."""
@@ -519,13 +518,13 @@ def _nb_s1(p: Fraction, r: int, lam: Fraction,
 # Uniform first kind: multinomial convolution over Bernoulli-Pade numbers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _a2_values(nmax: int) -> tuple:
     series = bernoulli_pade_a2(nmax)
     return tuple(series.egf(i) for i in range(nmax + 1))
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _uni_m(parts: int, m: int) -> Fraction:
     """Sum over compositions of m into `parts` parts of multinomial * A2 products."""
     if parts == 0:
@@ -539,7 +538,7 @@ def _uni_m(parts: int, m: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _uni_t(parts: int, s: int) -> Fraction:
     """Sum over compositions of s into `parts` parts of multinomial / prod(l_i + 1)."""
     if parts == 0:

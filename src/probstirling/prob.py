@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .randomvars import RandomVar
-from .series import CACHE_BOUND, Scalar, Series, _rat
+from .series import Scalar, Series, _rat, memo
 from .special import (
     Triangle,
     bernoulli_from_mgf,
@@ -57,7 +56,7 @@ _ONE = Fraction(1)
 # Degenerate moment generating functions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=CACHE_BOUND, typed=True)
+@memo
 def mgf_deg(rv: RandomVar, lam: Scalar, order: int) -> Series:
     """Exact series of E[(1 + lam t)^(Y/lam)] to the given order.
 
@@ -65,7 +64,6 @@ def mgf_deg(rv: RandomVar, lam: Scalar, order: int) -> Series:
     operations; the custom distribution expands degenerate falling-factorial
     moments in terms of the supplied raw moments.
     """
-    lam = _rat(lam)
     if order < 0:
         raise ValueError("order must be >= 0")
     kind = rv.kind
@@ -162,14 +160,13 @@ class ProbBundle:
     reverted: Series
 
 
-@lru_cache(maxsize=CACHE_BOUND, typed=True)
+@memo
 def bundle(rv: RandomVar, lam: Scalar, order: int) -> ProbBundle:
     """Build (and cache) the mgf / delta / reverted triple for (rv, lam).
 
     Requires E[Y] != 0, otherwise mgf - 1 has no compositional inverse.
     The round trip compose(delta, reverted) = t is asserted on construction.
     """
-    lam = _rat(lam)
     if order < 0:
         raise ValueError("order must be >= 0")
     m = mgf_deg(rv, lam, order)
@@ -187,7 +184,7 @@ def bundle(rv: RandomVar, lam: Scalar, order: int) -> ProbBundle:
 _PROB_FAMILIES = ("s2", "s1", "h", "g")
 
 
-@lru_cache(maxsize=CACHE_BOUND, typed=True)
+@memo
 def prob_triangle(rv: RandomVar, lam: Scalar, family: str, nmax: int) -> Triangle:
     """Probabilistic triangle for Y: second/first kind and their -lam variants.
 
@@ -195,7 +192,6 @@ def prob_triangle(rv: RandomVar, lam: Scalar, family: str, nmax: int) -> Triangl
     family "s1": the same for the compositional inverse (needs E[Y] != 0);
     families "h" / "g": the s2 / s1 constructions at -lam.
     """
-    lam = _rat(lam)
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     if family not in _PROB_FAMILIES:
@@ -219,10 +215,10 @@ def sj_moment(rv: RandomVar, lam: Scalar, j: int, n: int) -> Fraction:
     """
     if j < 0 or n < 0:
         raise ValueError("j and n must be >= 0")
-    return _mgf_power(rv, _rat(lam), j, n).egf(n)
+    return _mgf_power(rv, lam, j, n).egf(n)
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _mgf_power(rv: RandomVar, lam: Fraction, j: int, order: int) -> Series:
     return mgf_deg(rv, lam, order).pow(j)
 
@@ -258,7 +254,7 @@ def prob_log(rv: RandomVar, lam: Scalar, order: int) -> Series:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    return bundle(rv, _rat(lam), max(order, 1)).reverted.truncate(order)
+    return bundle(rv, lam, max(order, 1)).reverted.truncate(order)
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,22 @@ a power of the input's denominator, which would grow much faster.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, update_wrapper
+from inspect import signature
 from itertools import repeat
 from math import factorial, lcm
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Union
 
 __all__ = [
     "OrderMismatchError",
     "Series",
     "as_delta",
+    "cache_stats",
+    "clear_caches",
     "coeff_egf",
     "lagrange_extract",
+    "memo",
 ]
 
 Scalar = Union[Fraction, int]
@@ -42,10 +47,7 @@ Scalar = Union[Fraction, int]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Bound of every lru_cache in the package.  The public cached functions also
-# pass typed=True and run _rat(lam) first: 0.5 == Fraction(1, 2) and both hash
-# alike, so without typed keys a float would be served a Fraction entry
-# instead of raising TypeError.
+# Bound of every memo cache in the package.
 CACHE_BOUND = 4096
 
 
@@ -59,6 +61,62 @@ def _rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational (int or Fraction), got {value!r}")
+
+
+def _same(value):
+    return value
+
+
+# annotation -> (the type a memo key keeps as it is, the normaliser of any
+# other value).  Annotations are read as strings: every module of the package
+# postpones their evaluation (from __future__ import annotations).
+_KEY_RULES = {"Scalar": (Fraction, _rat), "Fraction": (Fraction, _rat), "int": (int, index)}
+_PASS = (object, _same)
+
+_CACHES = {}
+
+
+def memo(fn):
+    """Memoise `fn` in a least-recently-used cache of `CACHE_BOUND` entries.
+
+    Each positional argument is normalised by its annotation before the
+    lookup, and `fn` receives the normalised values: `Scalar` and `Fraction`
+    through `_rat`, so a float raises TypeError and 0 shares an entry with
+    Fraction(0); `int` through `operator.index`, so an integral Fraction
+    raises TypeError; anything else unchanged.  A call's result or exception
+    therefore never depends on what is cached.  Keyword calls are bound
+    through the signature.  The cache is registered under
+    ``module.qualname`` for `cache_stats` and `clear_caches`.
+    """
+    sig = signature(fn)
+    params = sig.parameters.values()
+    if any(p.kind not in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) for p in params):
+        raise TypeError(f"memo keys positional parameters only: {fn.__qualname__}")
+    kept = tuple(_KEY_RULES.get(p.annotation, _PASS)[0] for p in params)
+    rules = tuple(_KEY_RULES.get(p.annotation, _PASS)[1] for p in params)
+    arity = len(rules)
+    cached = lru_cache(maxsize=CACHE_BOUND)(fn)
+    _CACHES[f"{fn.__module__}.{fn.__qualname__}"] = cached
+
+    def wrapper(*args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = sig.bind(*args, **kwargs).args
+        if all(map(isinstance, args, kept)):
+            return cached(*args)
+        return cached(*[rule(a) for rule, a in zip(rules, args)])
+
+    return update_wrapper(wrapper, fn)
+
+
+def cache_stats() -> dict:
+    """Hits, misses, bound and size of every memo cache, by ``module.qualname``."""
+    return {name: cache.cache_info() for name, cache in _CACHES.items()}
+
+
+def clear_caches() -> None:
+    """Empty every memo cache."""
+    for cache in _CACHES.values():
+        cache.cache_clear()
 
 
 def _scaled(coeffs) -> tuple:

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, gcd
 from operator import mul
 from typing import Sequence
 
-from .series import CACHE_BOUND, Series, Scalar, _rat, _scaled, as_delta
+from .series import Series, Scalar, _rat, _scaled, as_delta, memo
 
 __all__ = [
     "Triangle",
@@ -229,7 +228,7 @@ def _base_series(family: str, lam: Fraction, order: int) -> Series:
     raise ValueError(f"unknown triangle family {family!r}")
 
 
-@lru_cache(maxsize=CACHE_BOUND, typed=True)
+@memo
 def triangle(family: str, lam: Scalar, nmax: int) -> Triangle:
     """Stirling-type triangle computed from its generating function.
 
@@ -237,7 +236,6 @@ def triangle(family: str, lam: Scalar, nmax: int) -> Triangle:
     "lah" (lam ignored), "h" / "g" (the rising-to-falling connection
     coefficients and their inverses).
     """
-    lam = _rat(lam)
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     return triangle_from_base(_base_series(family, lam, nmax), family, lam, nmax)
@@ -361,15 +359,14 @@ def bernoulli_pade_a2(order: int) -> Series:
     return (Series.one(order) / den).scale(Fraction(1, 2))
 
 
-@lru_cache(maxsize=CACHE_BOUND, typed=True)
+@memo
 def frobenius_euler(lam: Scalar, r: int, u: Scalar, order: int) -> Series:
     """Degenerate Frobenius-Euler numbers of order r: ((1-u)/(e_lam(t)-u))**r."""
-    lam, u = _rat(lam), _rat(u)
     if order < 0:
         raise ValueError("order must be >= 0")
     if u == 1:
         raise ValueError("parameter u must differ from 1")
-    if r < 0 or not isinstance(r, int):
+    if r < 0:
         raise ValueError("order r must be a nonnegative integer")
     den = deg_exp(lam, 1, order) - Series.constant(u, order)
     base = Series.constant(1 - u, order) / den

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import factorial, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -41,7 +41,7 @@ from .prob import (
     sj_moment,
 )
 from .randomvars import RandomVar, builtin_random_vars
-from .series import CACHE_BOUND, Series, _rat, lagrange_extract
+from .series import Series, _rat, lagrange_extract, memo
 from .special import (
     Triangle,
     bell_triangle,
@@ -198,16 +198,15 @@ def stirling1_oracle(nmax: int) -> tuple:
     return stirling1_deg_oracle(nmax, _ZERO)
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def stirling2_oracle(nmax: int) -> tuple:
     """Second-kind Stirling table via S(n,k) = S(n-1,k-1) + k S(n-1,k)."""
     return _recurrence_table(nmax, lambda m, k: k)
 
 
-@lru_cache(maxsize=CACHE_BOUND, typed=True)
+@memo
 def stirling1_deg_oracle(nmax: int, lam: Fraction) -> tuple:
     """Degenerate first-kind table via S(n+1,k) = S(n,k-1) + (k lam - n) S(n,k)."""
-    lam = _rat(lam)
     return _recurrence_table(nmax, lambda m, k: k * lam - m)
 
 
@@ -304,7 +303,7 @@ def moment_oracle(rv: RandomVar, n: int) -> Fraction:
     raise ValueError(f"unknown random variable kind {kind!r}")
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def sum_power_moment(rv: RandomVar, j: int, n: int) -> Fraction:
     """E[(Y1 + ... + Yj)^n] by multinomial expansion over single-copy oracle moments."""
     if j == 0:
@@ -463,7 +462,7 @@ def _uniform_divided_power_pairs(lam: Fraction, nmax: int, t1: Triangle):
             yield (n, k), lhs, rhs
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _lam_only_records(lam: Fraction, nmax: int) -> tuple:
     """The identity_suite records that involve no random variable, rv "-".
 
@@ -530,7 +529,7 @@ def _lam_only_records(lam: Fraction, nmax: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=CACHE_BOUND)
+@memo
 def _double_sum_weights(gamma: int, n: int) -> tuple:
     """The distribution-free part of bernoulli-double-sum: the nonzero
     (j, (-1)^j sum_{k=j..n} C(gamma+k-1, k) C(k, j) / C(n+j, j))."""

@@ -337,18 +337,6 @@ def test_negative_sizes_are_refused():
             prob_order_numbers(rv, F(1, 2), 1, 0, family, -1)
 
 
-@pytest.mark.parametrize("call", [
-    lambda lam: mgf_deg(RandomVar.poisson(2), lam, 4),
-    lambda lam: bundle(RandomVar.poisson(2), lam, 4),
-    lambda lam: prob_triangle(RandomVar.poisson(2), lam, "s1", 4),
-])
-def test_float_lambda_is_refused_after_an_equal_fraction(call):
-    # 0.5 == F(1, 2) and both hash alike: the caches must not serve the float
-    call(F(1, 2))
-    with pytest.raises(TypeError):
-        call(0.5)
-
-
 def test_log_of_product_scalar_rule():
     # log_lam(a b) = a**lam log_lam(b) + log_lam(a), exact for integer lam
     def log_lam(x, lam):

@@ -1,5 +1,6 @@
 """Exact series arithmetic, composition, reversion and the extraction oracle."""
 
+import inspect
 import math
 from fractions import Fraction as F
 from math import factorial
@@ -9,13 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probstirling import series as series_module
+from probstirling.prob import bundle, mgf_deg, prob_triangle
+from probstirling.randomvars import RandomVar
 from probstirling.series import (
     OrderMismatchError,
     Series,
     as_delta,
+    cache_stats,
+    clear_caches,
     coeff_egf,
     lagrange_extract,
 )
+from probstirling.special import frobenius_euler, triangle
+from probstirling.verify import stirling1_deg_oracle
 
 ORDER = 8
 
@@ -334,3 +341,49 @@ def test_extraction_preconditions():
         lagrange_extract(None, f, 9, None, "C")
     with pytest.raises(ValueError):
         lagrange_extract(None, f, 2, None, "D")
+
+
+# -- the memo rule ---------------------------------------------------------------
+
+# public memoised entry point -> its arguments for a given lam and size
+MEMOISED = {
+    "mgf_deg": (mgf_deg, lambda lam, size: (RandomVar.poisson(2), lam, size)),
+    "bundle": (bundle, lambda lam, size: (RandomVar.poisson(2), lam, size)),
+    "prob_triangle": (prob_triangle,
+                      lambda lam, size: (RandomVar.poisson(2), lam, "s1", size)),
+    "triangle": (triangle, lambda lam, size: ("s1", lam, size)),
+    "frobenius_euler": (frobenius_euler, lambda lam, size: (lam, size, F(3), 4)),
+    "stirling1_deg_oracle": (stirling1_deg_oracle, lambda lam, size: (size, lam)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMOISED))
+def test_memoised_entry_points_refuse_inexact_keys_warm_or_cold(name):
+    fn, args = MEMOISED[name]
+    # 0.5 == F(1, 2) and F(3) == 3, each pair hashing alike
+    inexact = [args(0.5, 3), args(F(1, 2), F(3))]
+    clear_caches()
+    for bad in inexact:
+        with pytest.raises(TypeError):
+            fn(*bad)
+    exact = fn(*args(F(1, 2), 3))
+    for bad in inexact:
+        with pytest.raises(TypeError):
+            fn(*bad)
+    keywords = inspect.signature(fn).bind(*args(F(1, 2), 3)).arguments
+    assert fn(**keywords) == exact
+    with pytest.raises(TypeError):
+        fn(**dict(keywords, lam=0.5))
+
+
+@pytest.mark.parametrize("cache, build, lam", [
+    ("probstirling.special.triangle", lambda lam: triangle("s1", lam, 10), 0),
+    ("probstirling.prob.prob_triangle",
+     lambda lam: prob_triangle(RandomVar.poisson(2), lam, "s1", 8), 1),
+], ids=["triangle", "prob_triangle"])
+def test_an_int_lambda_shares_the_entry_of_the_equal_fraction(cache, build, lam):
+    clear_caches()
+    first = build(lam)
+    assert build(F(lam)) is first
+    stats = cache_stats()[cache]
+    assert (stats.misses, stats.hits) == (1, 1)

@@ -1,5 +1,6 @@
-"""The integer kernels of `Series` against plain `Fraction` loops, and fault
-injection into them and into the closed-form, inclusion-exclusion and
+"""The integer kernels of `Series` against plain `Fraction` loops, the
+registry of memo caches, and fault injection into the kernels and into the
+closed-form, inclusion-exclusion, partial-Bell, recurrence-oracle and
 `special.triangle_from_base` routes (the route-independence guard on
 `revert` is the Lambert-W test in `test_series.py`; `triangle_from_base`
 is checked against its old `Series`-product loop in `test_special.py`).
@@ -12,15 +13,16 @@ with `probstirling.series`; every kernel must agree with them under `==`.
 
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probstirling import closedforms, prob, randomvars, special, verify
+from probstirling import prob, special, verify
 from probstirling import series as series_module
 from probstirling.randomvars import RandomVar
-from probstirling.series import Series
+from probstirling.series import Series, cache_stats, clear_caches
 from probstirling.verify import identity_suite
 
 _ZERO, _ONE = F(0), F(1)
@@ -268,25 +270,30 @@ def test_kernels_match_reference_on_engine_series_at_order_30():
 
 # -- safety net ------------------------------------------------------------------------
 
-_MODULES = (series_module, special, prob, closedforms, verify, randomvars)
-
-
-def clear_module_caches():
-    for module in _MODULES:
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+MODULE_CACHES = {
+    "probstirling.closedforms._a2_values", "probstirling.closedforms._alt_difference",
+    "probstirling.closedforms._deg_log_power", "probstirling.closedforms._deg_s1_column",
+    "probstirling.closedforms._falling_column", "probstirling.closedforms._log_series",
+    "probstirling.closedforms._nb_connection", "probstirling.closedforms._nb_s1_inners",
+    "probstirling.closedforms._nb_s1_signed", "probstirling.closedforms._nb_s2_weights",
+    "probstirling.closedforms._normal_w", "probstirling.closedforms._uni_m",
+    "probstirling.closedforms._uni_t",
+    "probstirling.prob._mgf_power", "probstirling.prob.bundle",
+    "probstirling.prob.mgf_deg", "probstirling.prob.prob_triangle",
+    "probstirling.special.frobenius_euler", "probstirling.special.triangle",
+    "probstirling.verify._double_sum_weights", "probstirling.verify._lam_only_records",
+    "probstirling.verify.stirling1_deg_oracle", "probstirling.verify.stirling2_oracle",
+    "probstirling.verify.sum_power_moment",
+}
 
 
 def test_every_module_cache_is_bounded():
-    caches = {
-        f"{module.__name__}.{name}": value.cache_parameters()["maxsize"]
-        for module in _MODULES
-        for name, value in vars(module).items()
-        if hasattr(value, "cache_parameters") and value.__module__ == module.__name__
-    }
-    assert len(caches) >= 20
-    assert caches == dict.fromkeys(caches, series_module.CACHE_BOUND)
+    stats = cache_stats()
+    assert set(stats) == MODULE_CACHES
+    assert {info.maxsize for info in stats.values()} == {series_module.CACHE_BOUND}
+    # every other cache would sit outside the registry
+    sources = Path(series_module.__file__).parent.glob("*.py")
+    assert [p.name for p in sources if "lru_cache" in p.read_text()] == ["series.py"]
 
 
 def bump_top(s):
@@ -361,11 +368,26 @@ ROUTE_OUTCOMES = {
             "rising-limit-zero",
         }),
     ),
+    "bell_triangle": (
+        frozenset({
+            "bernoulli-from-shifted-bell", "first-kind-three-way",
+            "rising-first-kind-multi-way", "rising-second-kind-four-way",
+            "second-kind-three-way", "shifted-bell-vs-second-kind",
+        }),
+        frozenset(),
+    ),
+    "_recurrence_table": (
+        frozenset({"mgf-vs-moments", "triangle-connections"}),
+        frozenset({
+            "classical-s1-table", "classical-s2-table", "deg-s1-recurrence",
+            "prob-classical-limit", "rising-inverse-limit-zero", "rising-limit-zero",
+        }),
+    ),
 }
 
 _real_closed_form = verify.closed_form
 _real_incl_excl_row = verify._incl_excl_row
-_real_triangle_from_base = special.triangle_from_base
+_real_recurrence_table = verify._recurrence_table
 
 
 def faulty_closed_form(*args):
@@ -379,14 +401,31 @@ def faulty_incl_excl_row(values):
     return tuple(row)
 
 
-def faulty_triangle_from_base(*args, **kwargs):
-    table = _real_triangle_from_base(*args, **kwargs)
-    rows = [list(row) for row in table.rows]
+def bump_last_entry(rows):
+    rows = [list(row) for row in rows]
     rows[-1][-1] += F(1, 7)
-    return replace(table, rows=tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
 
 
-VERIFY_FAULTS = {"closed_form": faulty_closed_form, "_incl_excl_row": faulty_incl_excl_row}
+def faulty_recurrence_table(*args):
+    return bump_last_entry(_real_recurrence_table(*args))
+
+
+def faulty_triangle(real):
+    def perturbed(*args, **kwargs):
+        table = real(*args, **kwargs)
+        return replace(table, rows=bump_last_entry(table.rows))
+    return perturbed
+
+
+faulty_triangle_from_base = faulty_triangle(special.triangle_from_base)
+
+VERIFY_FAULTS = {
+    "closed_form": faulty_closed_form,
+    "_incl_excl_row": faulty_incl_excl_row,
+    "bell_triangle": faulty_triangle(verify.bell_triangle),
+    "_recurrence_table": faulty_recurrence_table,
+}
 
 
 def failed_identities(report):
@@ -395,7 +434,7 @@ def failed_identities(report):
 
 @pytest.mark.parametrize("route", sorted(ROUTE_OUTCOMES))
 def test_fault_in_a_kernel_is_caught(route, monkeypatch):
-    clear_module_caches()
+    clear_caches()
     try:
         if route == "_scaled":
             monkeypatch.setattr(series_module, "_scaled", faulty_scaled)
@@ -420,4 +459,4 @@ def test_fault_in_a_kernel_is_caught(route, monkeypatch):
             assert [failed_identities(suite()) for suite in suites] == list(expected)
     finally:
         monkeypatch.undo()
-        clear_module_caches()
+        clear_caches()

@@ -181,17 +181,6 @@ def test_negative_sizes_are_refused():
         frobenius_euler(F(1, 2), 2, F(3), -1)
 
 
-@pytest.mark.parametrize("call", [
-    lambda lam: triangle("s1", lam, 4),
-    lambda lam: frobenius_euler(lam, 2, F(3), 4),
-])
-def test_float_lambda_is_refused_after_an_equal_fraction(call):
-    # 0.5 == F(1, 2) and both hash alike: the caches must not serve the float
-    call(F(1, 2))
-    with pytest.raises(TypeError):
-        call(0.5)
-
-
 # -- triangle_from_base against the Series-product loop ----------------------------
 
 def ref_triangle_from_base(base, nmax):

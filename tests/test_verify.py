@@ -12,7 +12,7 @@ from probstirling import verify
 from probstirling.closedforms import NumericResult
 from probstirling.prob import prob_triangle, sj_moment
 from probstirling.randomvars import RandomVar
-from probstirling.series import Series
+from probstirling.series import Series, clear_caches
 from probstirling.special import binom, triangle
 from probstirling.verify import (
     check_orthogonality,
@@ -29,7 +29,6 @@ from probstirling.verify import (
     stirling2_oracle,
     sum_power_moment,
 )
-from test_series_kernels import clear_module_caches
 
 LAM = F(1, 3)
 
@@ -80,15 +79,6 @@ def test_recurrence_oracles_reject_negative_nmax(oracle):
     with pytest.raises(ValueError, match="nmax must be >= 0"):
         oracle(-1)
     assert oracle(0) == ((1,),)
-
-
-def test_degenerate_oracle_rejects_a_float_lambda():
-    stirling1_deg_oracle.cache_clear()
-    with pytest.raises(TypeError):
-        stirling1_deg_oracle(3, 0.5)
-    stirling1_deg_oracle(3, F(1, 2))
-    with pytest.raises(TypeError):
-        stirling1_deg_oracle(3, 0.5)
 
 
 def test_lah_closed_oracle():
@@ -250,7 +240,7 @@ def test_lam_only_records_are_shared_across_distributions(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(verify, name, counting)
-    clear_module_caches()
+    clear_caches()
     first = identity_suite(RandomVar.poisson(2), F(1, 2), 4)
     assert set(calls) == {"order_numbers", "lagrange_extract"}
     calls.clear()
@@ -258,7 +248,7 @@ def test_lam_only_records_are_shared_across_distributions(monkeypatch):
     shared = identity_suite(rv, F(1, 2), 4)
     assert calls == []
     monkeypatch.undo()
-    clear_module_caches()
+    clear_caches()
     cold = identity_suite(rv, F(1, 2), 4)
     assert [r.identity for r in lam_only(shared)] == list(LAM_ONLY)
     assert [dataclasses.asdict(r) for r in lam_only(shared)] == [
@@ -279,7 +269,7 @@ def test_fault_in_a_shared_record_fails_every_suite(monkeypatch):
         return Series(cs)
 
     rvs = (RandomVar.poisson(2), RandomVar.geometric(F(1, 3)), RandomVar.uniform01())
-    clear_module_caches()
+    clear_caches()
     monkeypatch.setattr(verify, "order_numbers", perturbed)
     try:
         bridges = []
@@ -294,7 +284,7 @@ def test_fault_in_a_shared_record_fails_every_suite(monkeypatch):
         assert bridges == [bridges[0]] * len(rvs)
     finally:
         monkeypatch.undo()
-        clear_module_caches()
+        clear_caches()
 
 
 def test_report_serialization():
