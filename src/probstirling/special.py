@@ -20,6 +20,13 @@ table B_{n,k}, 0 <= k <= n <= nmax, from Comtet's recurrence, touching no
 series arithmetic, so the verification suites can use it as an oracle for
 the generating-function triangles; `partial_bell` reads one entry of it.
 
+The two base series every probabilistic object is built on, the degenerate
+exponential `deg_exp` and its logarithm `log_deg_exp`, are memoised closed
+forms on integers: one running product, one `Fraction` per coefficient.
+They share no code with `falling_factorial`, which stays the input of the
+inclusion-exclusion oracle in :mod:`probstirling.verify`, so a fault in
+either shows up apart from the other.
+
 All functions are pure, and the parameter lam = 0 selects the classical
 (non-degenerate) specialization exactly, never as a numeric limit.
 """
@@ -108,16 +115,27 @@ def rising_factorial(x: Scalar, n: int, lam: Scalar) -> Fraction:
     return out
 
 
+@memo
 def deg_exp(lam: Scalar, x: Scalar, order: int) -> Series:
     """Degenerate exponential (1 + lam t)^(x/lam) as a series.
 
-    Coefficients come straight from the defining expansion with degenerate
-    falling factorials, so lam = 0 yields exp(x t) without a special case.
+    The coefficient of t**n is x(x - lam)...(x - (n-1) lam) / n!.  With
+    x = p/q and lam = r/s it is the single `Fraction(num_n, den_n)` of the
+    integer running product num_n = num_{n-1} (p s - (n-1) r q),
+    den_n = den_{n-1} q s n, from num_0 = den_0 = 1; lam = 0 yields exp(x t)
+    without a special case.
     """
-    lam, x = _rat(lam), _rat(x)
-    return Series.from_egf(
-        falling_factorial(x, n, lam) for n in range(order + 1)
-    )
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    step = lam.numerator * x.denominator
+    top, scale = x.numerator * lam.denominator, x.denominator * lam.denominator
+    num = den = 1
+    coeffs = [_ONE]
+    for n in range(1, order + 1):
+        num *= top - (n - 1) * step
+        den *= scale * n
+        coeffs.append(Fraction(num, den))
+    return Series(coeffs)
 
 
 def deg_log(lam: Scalar, order: int) -> Series:
@@ -133,13 +151,22 @@ def deg_log(lam: Scalar, order: int) -> Series:
     return ((Series.one(order) + t).pow(lam) - Series.one(order)) / lam
 
 
+@memo
 def log_deg_exp(lam: Scalar, order: int) -> Series:
-    """log of the degenerate exponential: (1/lam) log(1 + lam t), or t at lam = 0."""
-    lam = _rat(lam)
-    t = Series.t(order)
-    if lam == 0:
-        return t
-    return t.scale(lam).log1p() / lam
+    """log of the degenerate exponential: (1/lam) log(1 + lam t), or t at lam = 0.
+
+    Read off the logarithm's series: c_0 = 0 and c_n = (-lam)**(n-1) / n,
+    one `Fraction` per coefficient.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    num = den = 1
+    coeffs = [_ZERO]
+    for n in range(1, order + 1):
+        coeffs.append(Fraction(num, den * n))
+        num *= -lam.numerator
+        den *= lam.denominator
+    return Series(coeffs)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from probstirling.series import (
     coeff_egf,
     lagrange_extract,
 )
-from probstirling.special import frobenius_euler, triangle
+from probstirling.special import deg_exp, frobenius_euler, log_deg_exp, triangle
 from probstirling.verify import stirling1_deg_oracle
 
 ORDER = 8
@@ -352,6 +352,10 @@ MEMOISED = {
     "prob_triangle": (prob_triangle,
                       lambda lam, size: (RandomVar.poisson(2), lam, "s1", size)),
     "triangle": (triangle, lambda lam, size: ("s1", lam, size)),
+    "deg_exp": (deg_exp, lambda lam, size: (lam, F(2, 3), size)),
+    # the same function with the float in x: 0.5 as x, F(1, 2) as lam
+    "deg_exp-x": (deg_exp, lambda x, size: (F(1, 2), x, size)),
+    "log_deg_exp": (log_deg_exp, lambda lam, size: (lam, size)),
     "frobenius_euler": (frobenius_euler, lambda lam, size: (lam, size, F(3), 4)),
     "stirling1_deg_oracle": (stirling1_deg_oracle, lambda lam, size: (size, lam)),
 }

@@ -1,7 +1,8 @@
 """The integer kernels of `Series` against plain `Fraction` loops, the
 registry of memo caches, and fault injection into the kernels and into the
-closed-form, inclusion-exclusion, partial-Bell, recurrence-oracle and
-`special.triangle_from_base` routes (the route-independence guard on
+closed-form, inclusion-exclusion, partial-Bell, recurrence-oracle,
+`special.triangle_from_base`, `special.deg_exp` and
+`special.falling_factorial` routes (the route-independence guard on
 `revert` is the Lambert-W test in `test_series.py`; `triangle_from_base`
 is checked against its old `Series`-product loop in `test_special.py`).
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probstirling import prob, special, verify
+from probstirling import closedforms, prob, special, verify
 from probstirling import series as series_module
 from probstirling.randomvars import RandomVar
 from probstirling.series import Series, cache_stats, clear_caches
@@ -280,7 +281,8 @@ MODULE_CACHES = {
     "probstirling.closedforms._uni_t",
     "probstirling.prob._mgf_power", "probstirling.prob.bundle",
     "probstirling.prob.mgf_deg", "probstirling.prob.prob_triangle",
-    "probstirling.special.frobenius_euler", "probstirling.special.triangle",
+    "probstirling.special.deg_exp", "probstirling.special.frobenius_euler",
+    "probstirling.special.log_deg_exp", "probstirling.special.triangle",
     "probstirling.verify._double_sum_weights", "probstirling.verify._lam_only_records",
     "probstirling.verify.stirling1_deg_oracle", "probstirling.verify.stirling2_oracle",
     "probstirling.verify.sum_power_moment",
@@ -321,7 +323,8 @@ def faulty_method(name):
 
 
 # route -> what identity_suite(poisson(2), 1/2, 4) and limit_suite(4) do with
-# that route's top output raised by 1/7: the bundle's round trip
+# that route's top output raised by 1/7 (every value, for the scalar routes
+# closed_form and falling_factorial): the bundle's round trip
 # compose(delta, revert(delta)) = t raises in both, or these records fail
 # (identity_suite's, limit_suite's)
 ROUND_TRIP = "round-trip assertion"
@@ -383,6 +386,30 @@ ROUTE_OUTCOMES = {
             "prob-classical-limit", "rising-inverse-limit-zero", "rising-limit-zero",
         }),
     ),
+    # the closed forms and the inclusion-exclusion oracle never call deg_exp
+    "deg_exp": (
+        frozenset({
+            "bernoulli-double-sum", "bernoulli-from-shifted-bell",
+            "cauchy-from-first-kind", "closed-form-log", "closed-form-s1",
+            "daehee-from-first-kind", "first-kind-order-bridge", "first-kind-three-way",
+            "log-from-second-kind", "mgf-vs-moments", "rising-first-kind-multi-way",
+            "rising-second-kind-four-way", "schlomilch", "schlomilch-rising",
+            "second-kind-cauchy-bridge", "second-kind-three-way",
+            "shifted-bell-vs-second-kind", "triangle-connections",
+        }),
+        frozenset({
+            "classical-s2-table", "deg-s2-incl-excl", "pointmass-reduction",
+            "prob-classical-limit", "rising-incl-excl", "rising-limit-one-lah",
+            "rising-limit-zero",
+        }),
+    ),
+    # the engine never calls falling_factorial; at poisson(2) only these
+    # oracles read it: the shifted-Bell moments, inclusion-exclusion and the
+    # step-one check
+    "falling_factorial": (
+        frozenset({"bernoulli-from-shifted-bell"}),
+        frozenset({"deg-s2-incl-excl", "falling-step-one", "prob-classical-limit"}),
+    ),
 }
 
 _real_closed_form = verify.closed_form
@@ -418,13 +445,29 @@ def faulty_triangle(real):
     return perturbed
 
 
-faulty_triangle_from_base = faulty_triangle(special.triangle_from_base)
+_real_deg_exp = special.deg_exp
+_real_falling_factorial = special.falling_factorial
 
-VERIFY_FAULTS = {
-    "closed_form": faulty_closed_form,
-    "_incl_excl_row": faulty_incl_excl_row,
-    "bell_triangle": faulty_triangle(verify.bell_triangle),
-    "_recurrence_table": faulty_recurrence_table,
+
+def faulty_deg_exp(lam, x, order):
+    series = _real_deg_exp(lam, x, order)
+    return bump_top(series) if order >= 1 else series
+
+
+def faulty_falling_factorial(*args):
+    return _real_falling_factorial(*args) + F(1, 7)
+
+
+# route -> (its fault, every module that binds the route by name)
+NAMED_FAULTS = {
+    "closed_form": (faulty_closed_form, (verify,)),
+    "_incl_excl_row": (faulty_incl_excl_row, (verify,)),
+    "bell_triangle": (faulty_triangle(verify.bell_triangle), (verify,)),
+    "_recurrence_table": (faulty_recurrence_table, (verify,)),
+    "triangle_from_base": (faulty_triangle(special.triangle_from_base),
+                           (special, prob, verify)),
+    "deg_exp": (faulty_deg_exp, (special, prob, verify)),
+    "falling_factorial": (faulty_falling_factorial, (special, verify, closedforms)),
 }
 
 
@@ -438,12 +481,10 @@ def test_fault_in_a_kernel_is_caught(route, monkeypatch):
     try:
         if route == "_scaled":
             monkeypatch.setattr(series_module, "_scaled", faulty_scaled)
-        elif route in VERIFY_FAULTS:
-            monkeypatch.setattr(verify, route, VERIFY_FAULTS[route])
-        elif route == "triangle_from_base":
-            # prob and verify import it by name
-            for module in (special, prob, verify):
-                monkeypatch.setattr(module, route, faulty_triangle_from_base)
+        elif route in NAMED_FAULTS:
+            fault, modules = NAMED_FAULTS[route]
+            for module in modules:
+                monkeypatch.setattr(module, route, fault)
         else:
             monkeypatch.setattr(Series, route, faulty_method(route))
         suites = (

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from probstirling import special
 from probstirling.prob import bundle, mgf_deg, prob_triangle
 from probstirling.randomvars import builtin_random_vars
-from probstirling.series import Series
+from probstirling.series import Series, clear_caches
 from probstirling.special import (
     bell_triangle,
     bernoulli_pade_a2,
@@ -114,6 +114,50 @@ def test_log_deg_exp():
     lam = F(1, 2)
     # exp(lam-scaled log) recovers the degenerate exponential
     assert log_deg_exp(lam, 8).exp() == deg_exp(lam, 1, 8)
+
+
+def ref_deg_exp(lam, x, order):
+    """The loop `deg_exp` ran before its integer running product: one
+    degenerate falling factorial per EGF coefficient."""
+    return Series.from_egf(falling_factorial(x, n, lam) for n in range(order + 1))
+
+
+def ref_log_deg_exp(lam, order):
+    """The series `log_deg_exp` built before its closed form: log1p of the
+    scaled variable, divided by lam."""
+    t = Series.t(order)
+    return t if lam == 0 else t.scale(lam).log1p() / lam
+
+
+def test_base_series_match_the_reference_loops():
+    for lam in (F(0), F(1), F(1, 2), F(-1, 3), F(2), F(7, 5)):
+        for order in range(41):
+            assert log_deg_exp(lam, order) == ref_log_deg_exp(lam, order), (lam, order)
+            for x in (F(0), F(1), F(3), F(-2, 3), F(5, 7)):
+                assert deg_exp(lam, x, order) == ref_deg_exp(lam, x, order), (lam, x, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.fractions(min_value=-5, max_value=5, max_denominator=30),
+    st.fractions(min_value=-5, max_value=5, max_denominator=30),
+    st.integers(min_value=0, max_value=16),
+)
+def test_base_series_match_the_reference_loops_at_random_rationals(lam, x, order):
+    assert deg_exp(lam, x, order) == ref_deg_exp(lam, x, order)
+    assert log_deg_exp(lam, order) == ref_log_deg_exp(lam, order)
+
+
+def test_base_series_refuse_a_negative_order_cold_or_warm():
+    clear_caches()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            deg_exp(F(1, 2), 1, -1)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            log_deg_exp(F(1, 2), -1)
+        # warm: the nearest valid entries are cached
+        assert deg_exp(F(1, 2), 1, 0) == Series.one(0)
+        assert log_deg_exp(F(1, 2), 0) == Series.t(0)
 
 
 # -- triangles -------------------------------------------------------------------
