@@ -3,7 +3,9 @@
 Times mul, div, exp, log1p, pow, compose and revert at N = 20/40/80 on the
 series the engine builds for Poisson(2) at lam = 1/2: the degenerate moment
 series m, its delta series m - 1 and that series' compositional inverse h
-(dense, with zero constant term, so exp and log1p take h).  The two
+(dense, with zero constant term, so exp and log1p take h; log1p is timed at
+lam = 0 and as the degenerate logarithm at lam = 1/2).  The
+`special.deg_log` row builds log_lam(1 + t) at lam = 1/2.  The two
 `special.triangle_from_base` rows build the order-N table over each base
 the probabilistic triangles use: m - 1 (the second kind) and h (the first
 kind).  The `special.deg_exp` and `special.log_deg_exp` rows build the two
@@ -35,7 +37,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from probstirling.prob import bundle, mgf_deg  # noqa: E402
 from probstirling.randomvars import RandomVar  # noqa: E402
 from probstirling.series import Series  # noqa: E402
-from probstirling.special import deg_exp, log_deg_exp, triangle_from_base  # noqa: E402
+from probstirling.special import (  # noqa: E402
+    deg_exp, deg_log, log_deg_exp, triangle_from_base,
+)
 
 LAM = Fraction(1, 2)
 REPEATS = 5
@@ -54,6 +58,7 @@ def cases(order: int) -> dict:
         "div": lambda: one / mgf,
         "exp": lambda: reverted.exp(),
         "log1p": lambda: reverted.log1p(),
+        "log1p(lam = 1/2)": lambda: reverted.log1p(LAM),
         "pow": lambda: mgf.pow(Fraction(1, 2)),
         "compose": lambda: delta.compose(reverted),
         "revert": lambda: delta.revert(),
@@ -61,6 +66,7 @@ def cases(order: int) -> dict:
         "triangle_from_base(h)": lambda: triangle_from_base(reverted, "s1", LAM, order),
         "deg_exp": lambda: deg_exp.__wrapped__(LAM, Fraction(1), order),
         "log_deg_exp": lambda: log_deg_exp.__wrapped__(LAM, order),
+        "deg_log": lambda: deg_log(LAM, order),
     }
 
 

@@ -36,10 +36,10 @@ from .verify import (
 
 ORDER_ENV_VAR = "PROBSTIRLING_ORDER"
 _DEFAULT_ORDER = 32
+MAX_SAMPLES = 10_000_000  # mc_check allocates about 100 MB per 10**6 gamma samples
 
 _PROB_FAMILIES = ("prob-s1", "prob-s2", "prob-h", "prob-g")
 _SERIES_KINDS = ("prob-log", "bernoulli", "daehee", "cauchy")
-_INTEGER_PARAMS = ("m", "r")
 
 
 class CliInputError(ValueError):
@@ -78,11 +78,14 @@ def parse_rv(text: str) -> RandomVar:
     if name not in SAMPLABLE_KINDS:
         raise CliInputError(f"unknown random variable {name!r}")
     constructor = getattr(RandomVar, name)
-    names = tuple(inspect.signature(constructor).parameters)
+    signature = inspect.signature(constructor).parameters
+    names = tuple(signature)
     if set(params) != set(names):
         raise CliInputError(f"{name} takes parameters {names}, got {tuple(params)}")
+    # annotations are strings: randomvars postpones their evaluation
     return constructor(*(
-        _as_int(params[p], p) if p in _INTEGER_PARAMS else params[p] for p in names
+        _as_int(params[p], p) if signature[p].annotation == "int" else params[p]
+        for p in names
     ))
 
 
@@ -226,6 +229,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if args.samples > MAX_SAMPLES:
+        raise CliInputError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
     rv = parse_rv(args.rv)
     lam = parse_rational(args.lam)
     estimate = mc_check(rv, lam, args.n, args.j, args.samples, args.seed)
@@ -282,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--lambda", dest="lam", default="0")
     p_mc.add_argument("--n", type=int, required=True)
     p_mc.add_argument("--j", type=int, required=True)
-    p_mc.add_argument("--samples", type=int, default=1_000_000)
+    p_mc.add_argument("--samples", type=int, default=1_000_000,
+                      help=f"Monte Carlo sample size, 1000 to {MAX_SAMPLES}")
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.set_defaults(func=_cmd_mc)
 

@@ -25,7 +25,9 @@ its double sum over Stirling tables through one integer connection table
 T(j, l), (-r y)_j = sum_l T(j, l) (y)_l, built by its own recurrence, and
 the gamma second kind's inner sum is a finite difference that vanishes
 below the diagonal.  The negative-binomial partial sums are integer dot
-products over one common denominator per sequence.
+products over one common denominator per sequence.  Seven logs are
+log_lam(u) = (u - 1).log1p(lam) of a printed unit series u, with no
+composition; the normal and uniform logs are their first kinds at k = 1.
 """
 
 from __future__ import annotations
@@ -266,50 +268,32 @@ def _s1_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
 # Logarithm closed forms
 # ---------------------------------------------------------------------------
 
-def _deg_log_of_exp(exponent: Series, lam: Fraction) -> Series:
-    """log_lam(e^{A(t)}) for a delta exponent A: (e^{lam A} - 1)/lam, or A itself."""
-    if lam == 0:
-        return exponent
-    order = exponent.order
-    return (exponent.scale(lam).exp() - Series.one(order)) / lam
-
-
-def _deg_log_of_unit(r: Series, lam: Fraction) -> Series:
-    """log_lam of a series with unit constant term: (r**lam - 1)/lam."""
-    order = r.order
-    if lam == 0:
-        return (r - Series.one(order)).log1p()
-    return (r.pow(lam) - Series.one(order)) / lam
-
-
 @memo
 def _log_series(rv: RandomVar, lam: Fraction, order: int) -> Series:
+    """log_lam(u) of the distribution's printed unit series u, as (u - 1).log1p(lam)."""
     kind = rv.kind
     one, t = Series.one(order), Series.t(order)
     if kind == "bernoulli":
-        return deg_log(lam, order).compose(t.scale(1 / rv.param("p")))
+        return t.scale(1 / rv.param("p")).log1p(lam)
     if kind == "binomial":
         m, p = rv.param("m"), rv.param("p")
-        inner = ((one + t).pow(1 / m) - one).scale(1 / p)
-        return deg_log(lam, order).compose(inner)
+        return ((one + t).pow(1 / m) - one).scale(1 / p).log1p(lam)
     if kind == "poisson":
-        return deg_log(lam, order).compose(t.log1p().scale(1 / rv.param("alpha")))
+        return t.log1p().scale(1 / rv.param("alpha")).log1p(lam)
     if kind == "exponential":
-        alpha = rv.param("alpha")
-        exponent = (t * (one + t).pow(-1)).scale(alpha)
-        return _deg_log_of_exp(exponent, lam)
+        exponent = (t * (one + t).pow(-1)).scale(rv.param("alpha"))
+        return (exponent.exp() - one).log1p(lam)
     if kind == "gamma":
         alpha, beta = rv.param("alpha"), rv.param("beta")
         exponent = (one - (one + t).pow(-1 / alpha)).scale(beta)
-        return _deg_log_of_exp(exponent, lam)
+        return (exponent.exp() - one).log1p(lam)
     if kind == "geometric":
-        p = rv.param("p")
-        ratio = (one + t) / (one + t.scale(1 - p))
-        return _deg_log_of_unit(ratio, lam)
+        ratio = (one + t) / (one + t.scale(1 - rv.param("p")))
+        return (ratio - one).log1p(lam)
     if kind == "negbinomial":
         r, p = int(rv.param("r")), rv.param("p")
         ratio = (one - (one + t).pow(Fraction(-1, r)).scale(p)).scale(1 / (1 - p))
-        return _deg_log_of_unit(ratio, lam)
+        return (ratio - one).log1p(lam)
     raise ValueError(f"no exact log pipeline for {kind!r}")
 
 

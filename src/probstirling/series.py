@@ -11,6 +11,9 @@ cache keys.
 Exponential-generating-function (EGF) coefficients ``a_n = n! * c_n`` are
 read with :meth:`Series.egf` / :func:`coeff_egf`.
 
+:meth:`Series.log1p` is every degenerate logarithm in the package:
+``f.log1p(lam)`` = ((1 + f)**lam - 1) / lam, and log(1 + f) at lam = 0.
+
 Storage is a tuple of ``Fraction``, but the inner loops of multiplication,
 division, ``exp``, ``log1p``, ``pow``, ``compose`` and ``revert`` run on
 Python ``int`` numerators over a common denominator (:func:`_scaled`), so
@@ -238,11 +241,6 @@ class Series:
         """EGF coefficient a_n = n! * c_n."""
         return self.coeff(n) * factorial(n)
 
-    @property
-    def is_delta(self) -> bool:
-        """True when c0 = 0 and c1 != 0 (the series has a compositional inverse)."""
-        return self.order >= 1 and self._coeffs[0] == 0 and self._coeffs[1] != 0
-
     def _check_order(self, other: "Series") -> None:
         if self.order != other.order:
             raise OrderMismatchError(
@@ -334,7 +332,7 @@ class Series:
         ``__mul__`` from the last.  g**k starts at t**(k*v), v the valuation
         of g, which ``__mul__`` skips, so this costs O(N**3) coefficient
         products, about a third of Horner's rule; powers with k*v > N vanish
-        and are never formed.
+        and are never formed.  Its one caller is `prob.bundle`'s round trip.
         """
         self._check_order(inner)
         g = inner._coeffs
@@ -418,14 +416,19 @@ class Series:
         # n e_n = sum_m m f_m e_{n-m}, and f = F/d
         return Series(_ode_solve(f, _ONE, 1, 0, d))
 
-    def log1p(self) -> "Series":
-        """log(1 + f) for a series f with zero constant term."""
+    def log1p(self, lam: Scalar = 0) -> "Series":
+        """log_lam(1 + f) = ((1 + f)**lam - 1) / lam for a series f with zero
+        constant term and rational lam; log(1 + f) at lam = 0."""
+        lam = _rat(lam)
         f = self._coeffs
         if f[0] != 0:
             raise ValueError("log1p requires zero constant term")
         f, d = _scaled(f)
-        # n out_n = n f_n - sum_{m=1..n} (n - m) f_m out_{n-m}, times d
-        return Series(_ode_solve(f, _ZERO, 1, 1, d, f))
+        # (1 + f) y' = (1 + lam y) f' gives, for every lam with no case at 0,
+        # n y_n = n f_n + sum_{m=1..n} ((lam + 1) m - n) f_m y_{n-m}; times
+        # q d, with lam = p/q and f = F/d, every coefficient is an integer
+        p, q = lam.numerator, lam.denominator
+        return Series(_ode_solve(f, _ZERO, p + q, q, q * d, [q * x for x in f]))
 
     def pow(self, gamma: Scalar) -> "Series":
         """f**gamma for rational gamma.

@@ -139,16 +139,13 @@ def deg_exp(lam: Scalar, x: Scalar, order: int) -> Series:
 
 
 def deg_log(lam: Scalar, order: int) -> Series:
-    """Degenerate logarithm of 1 + t: ((1 + t)**lam - 1) / lam.
+    """Degenerate logarithm of 1 + t: ((1 + t)**lam - 1) / lam, that is
+    ``Series.t(order).log1p(lam)``.
 
     This is the compositional inverse of deg_exp(lam, 1, order) - 1; at
     lam = 0 it degenerates to log(1 + t).
     """
-    lam = _rat(lam)
-    t = Series.t(order)
-    if lam == 0:
-        return t.log1p()
-    return ((Series.one(order) + t).pow(lam) - Series.one(order)) / lam
+    return Series.t(order).log1p(lam)
 
 
 @memo

@@ -448,10 +448,7 @@ def _uniform_divided_power_pairs(lam: Fraction, nmax: int, t1: Triangle):
     e = deg_exp(0, 1, order)
     v = (e - Series.one(order)).shift_down(1) - Series.one(order - 1)
     a_series = Series.one(order - 2) / v.shift_down(1)
-    if lam == 0:
-        log_e = Series.t(order - 1)
-    else:
-        log_e = (deg_exp(0, lam, order - 1) - Series.one(order - 1)) / lam
+    log_e = (deg_exp(0, 1, order - 1) - Series.one(order - 1)).log1p(lam)
     w = log_e.shift_down(1) / v.shift_down(1)
     for k in range(nmax):
         dwk = w.pow(k).diff()

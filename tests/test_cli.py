@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from probstirling import cli
 from probstirling.cli import main, parse_rational, parse_rv
 from probstirling.prob import prob_log
 from probstirling.randomvars import RandomVar, builtin_random_vars
@@ -308,6 +309,18 @@ def test_mc_unsamplable_exits_3(capsys):
     )
     assert code == 3
     assert "not samplable" in err
+
+
+def test_mc_refuses_samples_past_the_cap(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("mc_check ran past the --samples cap")
+    monkeypatch.setattr(cli, "mc_check", refuse)
+    code, out, err = run(
+        capsys, "mc", "--rv", "poisson:alpha=2", "--n", "1", "--j", "1",
+        "--samples", str(cli.MAX_SAMPLES + 1),
+    )
+    assert (code, out) == (2, "")
+    assert "--samples must be <= 10000000, got 10000001" in err
 
 
 def test_mc_byte_identical_reruns(capsys):

@@ -148,6 +148,28 @@ def test_base_series_match_the_reference_loops_at_random_rationals(lam, x, order
     assert log_deg_exp(lam, order) == ref_log_deg_exp(lam, order)
 
 
+def ref_deg_log(lam, order):
+    """The series `deg_log` built before it was `Series.t(order).log1p(lam)`:
+    log1p at lam = 0, else a rational power, less one, over lam."""
+    t, one = Series.t(order), Series.one(order)
+    if lam == 0:
+        return t.log1p()
+    return ((one + t).pow(lam) - one) / lam
+
+
+def test_deg_log_matches_its_pow_construction():
+    for lam in (F(0), F(1), F(1, 2), F(-1, 3), F(2), F(7, 5), F(-3)):
+        for order in range(41):
+            assert deg_log(lam, order) == ref_deg_log(lam, order), (lam, order)
+
+
+def test_deg_log_refuses_a_float_lam_or_a_negative_order():
+    with pytest.raises(TypeError):
+        deg_log(0.5, 4)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        deg_log(F(1, 2), -1)
+
+
 def test_base_series_refuse_a_negative_order_cold_or_warm():
     clear_caches()
     for _ in range(2):
