@@ -27,6 +27,7 @@ from .special import TRIANGLE_FAMILIES, Triangle, triangle
 from .verify import (
     DEFAULT_GAMMAS,
     DEFAULT_LAMBDA_GRID,
+    MAX_SAMPLES,
     VerificationReport,
     check_orthogonality,
     identity_suite,
@@ -36,7 +37,6 @@ from .verify import (
 
 ORDER_ENV_VAR = "PROBSTIRLING_ORDER"
 _DEFAULT_ORDER = 32
-MAX_SAMPLES = 10_000_000  # mc_check allocates about 100 MB per 10**6 gamma samples
 
 _PROB_FAMILIES = ("prob-s1", "prob-s2", "prob-h", "prob-g")
 _SERIES_KINDS = ("prob-log", "bernoulli", "daehee", "cauchy")

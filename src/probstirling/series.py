@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache, update_wrapper
 from inspect import signature
 from itertools import repeat
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add, index, mul
 from typing import Iterable, Union
 
@@ -328,31 +328,49 @@ class Series:
     def compose(self, inner: "Series") -> "Series":
         """Substitute `inner` (which must have zero constant term) into self.
 
-        Sums f_k * g**k over ascending powers of g = `inner`, each power one
-        ``__mul__`` from the last.  g**k starts at t**(k*v), v the valuation
-        of g, which ``__mul__`` skips, so this costs O(N**3) coefficient
-        products, about a third of Horner's rule; powers with k*v > N vanish
-        and are never formed.  Its one caller is `prob.bundle`'s round trip.
+        Sums f_k * g**k over ascending powers of g = `inner`.  g is scaled
+        once to integers G over one denominator, and g**k is kept as integer
+        numerators over one gcd-reduced denominator: one integer convolution
+        of g**(k-1) with G, which starts at t**(k*v), v the valuation of g.
+        That costs O(N**3) integer products, about a third of Horner's rule;
+        powers with k*v > N vanish and are never formed.  The sum is widened
+        as the power denominators grow, and each result coefficient is one
+        ``Fraction``.  No ``Series`` is built on the way and ``__mul__`` is
+        never called: this power loop is deliberately its own, shared with
+        neither :meth:`revert` nor ``special.triangle_from_base``, because
+        those routes check each other.  Its one caller is the round trip
+        compose(f, revert(f)) = t in `prob.bundle`, the check on `revert`.
         """
         self._check_order(inner)
-        g = inner._coeffs
-        if g[0] != 0:
+        if inner._coeffs[0] != 0:
             raise ValueError("composition requires an inner series with zero constant term")
         n = self.order
         f, df = _scaled(self._coeffs)
-        # sum_k f_k g**k as integer numerators over one denominator
-        acc, acc_den = [0] * (n + 1), 1
+        g, dg = _scaled(inner._coeffs)
+        rg = g[::-1]  # g_N..g_0, so rg[n - m] = g_m
         # valuation of g; n + 1 for g = 0 leaves only the constant term
         val = next((i for i, c in enumerate(g) if c), n + 1)
-        power = Series.one(n)
+        # sum_k f_k g**k as integer numerators over one denominator
+        acc, acc_den = [0] * (n + 1), 1
+        # g**k = power[m] / den, zero below t**(k * val)
+        power, den = [1] + [0] * n, 1
         for k in range(1, n // val + 1):
-            power = power * inner
+            lo, start = (k - 1) * val, k * val
+            # [t^m] g**k = sum_{i=lo..m-val} power[i] g_{m-i}
+            power = [0] * start + [
+                sum(map(mul, power[lo:m - val + 1], rg[n - m + lo:n - val + 1]))
+                for m in range(start, n + 1)
+            ]
+            den *= dg
+            common = gcd(den, *power)
+            if common > 1:
+                power = [x // common for x in power]
+                den //= common
             if f[k]:
-                p, dp = _scaled(power._coeffs)
-                acc_den = _widen(acc, acc_den, dp)
-                fk = f[k] * (acc_den // dp)
-                for m in range(k * val, n + 1):
-                    acc[m] += fk * p[m]
+                acc_den = _widen(acc, acc_den, den)
+                fk = f[k] * (acc_den // den)
+                for m in range(start, n + 1):
+                    acc[m] += fk * power[m]
         acc[0] = f[0] * acc_den
         return Series(Fraction(x, df * acc_den) for x in acc)
 

@@ -62,6 +62,7 @@ __all__ = [
     "DEFAULT_GAMMAS",
     "DEFAULT_LAMBDA_GRID",
     "NUMERIC_TOLERANCE",
+    "MAX_SAMPLES",
     "stirling1_oracle",
     "stirling2_oracle",
     "stirling1_deg_oracle",
@@ -86,6 +87,7 @@ DEFAULT_LAMBDA_GRID = (
     Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(2),
 )
 NUMERIC_TOLERANCE = 1e-9
+MAX_SAMPLES = 10_000_000  # mc_check allocates about 100 MB per 10**6 gamma samples
 
 
 # ---------------------------------------------------------------------------
@@ -1054,12 +1056,17 @@ def _gamma_marsaglia_tsang(rng: np.random.Generator, shape: float, size: int) ->
 
 def mc_check(rv: RandomVar, lam, n: int, j: int, samples: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of the degenerate falling-factorial moment of the
-    j-fold i.i.d. sum, compared with the exact engine value as a z-score."""
+    j-fold i.i.d. sum, compared with the exact engine value as a z-score.
+
+    `samples` must lie in 1000..MAX_SAMPLES; outside that, ValueError is
+    raised before anything is allocated."""
     lam = _rat(lam)
     if not rv.is_samplable:
         raise ValueError(f"{rv.describe()} is not samplable")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"at most {MAX_SAMPLES} samples, got {samples}")
     rng = np.random.Generator(np.random.PCG64(seed))
     total = np.zeros(samples)
     for _ in range(j):

@@ -1,9 +1,10 @@
 """The integer kernels of `Series` against plain `Fraction` loops, the
 registry of memo caches, and fault injection into the kernels and into the
 closed-form, inclusion-exclusion, partial-Bell, recurrence-oracle,
-`special.triangle_from_base`, `special.deg_exp` and
-`special.falling_factorial` routes (the route-independence guard on
-`revert` is the Lambert-W test in `test_series.py`; `triangle_from_base`
+Lagrange-extraction, textbook-moment, `special.triangle_from_base`,
+`special.deg_exp` and `special.falling_factorial` routes (the
+route-independence guard on `revert` is the Lambert-W test in
+`test_series.py`, and its twin on `compose` is below; `triangle_from_base`
 is checked against its old `Series`-product loop in `test_special.py`).
 
 The reference functions below are the coefficient loops `Series` ran before
@@ -364,6 +365,35 @@ def test_kernels_match_reference_on_engine_series_at_order_30():
     assert b.delta.compose(b.reverted).coeffs == ref_compose(delta, h)
 
 
+def test_compose_at_order_30_uses_no_route_it_is_checked_with(monkeypatch):
+    # the twin of test_revert_lambert_w_at_order_30: the round trip
+    # compose(delta, revert(delta)) = t checks revert, so compose must build
+    # its powers on its own, not through __mul__, pow or the triangles
+    b = prob.bundle(RandomVar.gamma(F(3, 2), 2), F(-1, 3), 30)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compose must not use this route")
+
+    for name in ("__mul__", "__rmul__", "revert", "pow"):
+        monkeypatch.setattr(Series, name, refuse)
+    monkeypatch.setattr(series_module, "lagrange_extract", refuse)
+    monkeypatch.setattr(special, "triangle_from_base", refuse)
+    composed = b.delta.compose(b.reverted)
+    assert composed.coeffs == ref_compose(b.delta.coeffs, b.reverted.coeffs)
+    assert composed == Series.t(30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: nonzero.flatmap(lambda c1: coefficient_lists(n, constant=_ZERO, linear=c1))))
+def test_revert_matches_lagrange_extraction(f):
+    # two independent routes to the compositional inverse
+    s = Series(f)
+    h = s.revert()
+    for n in range(1, s.order + 1):
+        assert series_module.lagrange_extract(None, s, n, None, "C") == h.coeff(n)
+
+
 # -- safety net ------------------------------------------------------------------------
 
 MODULE_CACHES = {
@@ -419,13 +449,18 @@ def faulty_method(name):
 
 # route -> what identity_suite(poisson(2), 1/2, 4) and limit_suite(4) do with
 # that route's top output raised by 1/7 (every value, for the scalar routes
-# closed_form and falling_factorial): the bundle's round trip
+# closed_form, lagrange_extract, moment_oracle and falling_factorial): the
+# bundle's round trip
 # compose(delta, revert(delta)) = t raises in both, or these records fail
 # (identity_suite's, limit_suite's)
 ROUND_TRIP = "round-trip assertion"
 ROUTE_OUTCOMES = {
     "_scaled": ROUND_TRIP,
-    "__mul__": ROUND_TRIP,
+    # compose builds its powers without __mul__, so a product fault no longer
+    # reaches the round trip; the normal mgf's log_e * log_e is the last
+    # series product in these suites, and prob-classical-limit's
+    # inclusion-exclusion side multiplies no series
+    "__mul__": (frozenset(), frozenset({"prob-classical-limit"})),
     "revert": ROUND_TRIP,
     # the round trip is compose's one caller in the package
     "compose": ROUND_TRIP,
@@ -511,6 +546,12 @@ ROUTE_OUTCOMES = {
             "rising-limit-zero",
         }),
     ),
+    # first-kind-order-bridge, lagrange_extract's one caller, compares it
+    # with the first-kind triangle
+    "lagrange_extract": (frozenset({"first-kind-order-bridge"}), frozenset()),
+    # the textbook moments against the engine's falling moments, and (through
+    # sum_power_moment) the inclusion-exclusion side of the lam = 0 limit
+    "moment_oracle": (frozenset({"mgf-vs-moments"}), frozenset({"prob-classical-limit"})),
     # the engine never calls falling_factorial; at poisson(2) only these
     # oracles read it: the shifted-Bell moments, inclusion-exclusion and the
     # step-one check
@@ -555,6 +596,8 @@ def faulty_triangle(real):
 
 _real_deg_exp = special.deg_exp
 _real_falling_factorial = special.falling_factorial
+_real_lagrange_extract = verify.lagrange_extract
+_real_moment_oracle = verify.moment_oracle
 
 
 def faulty_deg_exp(lam, x, order):
@@ -564,6 +607,14 @@ def faulty_deg_exp(lam, x, order):
 
 def faulty_falling_factorial(*args):
     return _real_falling_factorial(*args) + F(1, 7)
+
+
+def faulty_lagrange_extract(*args):
+    return _real_lagrange_extract(*args) + F(1, 7)
+
+
+def faulty_moment_oracle(*args):
+    return _real_moment_oracle(*args) + F(1, 7)
 
 
 # route -> (its fault, every module that binds the route by name)
@@ -576,6 +627,8 @@ NAMED_FAULTS = {
                            (special, prob, verify)),
     "deg_exp": (faulty_deg_exp, (special, prob, verify)),
     "falling_factorial": (faulty_falling_factorial, (special, verify, closedforms)),
+    "lagrange_extract": (faulty_lagrange_extract, (verify,)),
+    "moment_oracle": (faulty_moment_oracle, (verify,)),
 }
 
 

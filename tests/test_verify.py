@@ -342,6 +342,15 @@ def test_mc_rejects_bad_input():
         mc_check(RandomVar.poisson(2), 0, 1, 1, 10, 0)
 
 
+def test_mc_refuses_samples_past_the_cap_before_allocating(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"mc_check reached numpy.{name} past the cap")
+    monkeypatch.setattr(verify, "np", NoNumpy())
+    with pytest.raises(ValueError, match="at most 10000000 samples, got 10000001"):
+        mc_check(RandomVar.gamma(F(3, 2), 2), 0, 1, 1, verify.MAX_SAMPLES + 1, 0)
+
+
 def test_mc_rejects_a_float_lambda():
     with pytest.raises(TypeError):
         mc_check(RandomVar.poisson(2), 0.5, 1, 1, 10_000, 0)
