@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .prob import prob_log, prob_order_numbers, prob_triangle
 from .randomvars import SAMPLABLE_KINDS, RandomVar, builtin_random_vars
@@ -37,6 +38,10 @@ from .verify import (
 
 ORDER_ENV_VAR = "PROBSTIRLING_ORDER"
 _DEFAULT_ORDER = 32
+# Largest table --nmax, series --order and $PROBSTIRLING_ORDER.  At 150 the
+# slowest built-in table (prob-g, gamma) takes about 2 s on a 2-core host;
+# at 200 a prob-s1 table takes 8 s, and the cost grows about as nmax**4.
+MAX_ORDER = 150
 
 _PROB_FAMILIES = ("prob-s1", "prob-s2", "prob-h", "prob-g")
 _SERIES_KINDS = ("prob-log", "bernoulli", "daehee", "cauchy")
@@ -105,6 +110,8 @@ def _default_order() -> int:
         raise CliInputError(f"{ORDER_ENV_VAR} must be an integer, got {raw!r}") from exc
     if value < 0:
         raise CliInputError(f"{ORDER_ENV_VAR} must be >= 0")
+    if value > MAX_ORDER:
+        raise CliInputError(f"{ORDER_ENV_VAR} must be <= {MAX_ORDER}, got {value}")
     return value
 
 
@@ -120,11 +127,7 @@ def triangle_to_dict(t: Triangle) -> dict:
         "params": {k: v for k, v in t.params if k != "rv"},
         "lambda": str(t.lam),
         "nmax": t.nmax,
-        "entries": [
-            [n, k, str(t.value(n, k))]
-            for n in range(t.nmax + 1)
-            for k in range(n + 1)
-        ],
+        "entries": [[n, k, str(v)] for n, row in enumerate(t.rows) for k, v in enumerate(row)],
     }
 
 
@@ -144,8 +147,46 @@ def _emit(text: str, output) -> None:
         sys.stdout.write(text)
 
 
+# JSON scalar type -> its text, as json.dumps writes it
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: json.dumps,
+    bool: json.dumps,
+    type(None): json.dumps,
+}
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for a tree of dicts with
+    string keys, lists, tuples and JSON scalars.
+
+    With an indent, `json` encodes in pure Python.  Here strings and ints go
+    through the C-level helpers and each flat list of scalars, such as a
+    table row, is one join.  `indent` is a newline and the indentation of the
+    line on which `obj` starts.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        try:
+            items = [_JSON_SCALARS[type(v)](v) for v in obj]
+        except KeyError:
+            items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return _JSON_SCALARS.get(type(obj), json.dumps)(obj)
+
+
 def _emit_json(payload: dict, output) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", output)
+    _emit(_json_text(payload) + "\n", output)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +194,8 @@ def _emit_json(payload: dict, output) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_table(args) -> int:
+    if args.nmax > MAX_ORDER:
+        raise CliInputError(f"--nmax must be <= {MAX_ORDER}, got {args.nmax}")
     family = args.family.lower()
     lam = parse_rational(args.lam)
     if family in TRIANGLE_FAMILIES:
@@ -180,6 +223,8 @@ def _cmd_series(args) -> int:
     order = args.order if args.order is not None else _default_order()
     if order < 0:
         raise CliInputError("--order must be >= 0")
+    if order > MAX_ORDER:
+        raise CliInputError(f"--order must be <= {MAX_ORDER}, got {order}")
     gamma = parse_rational(args.gamma)
     x = parse_rational(args.x)
     if kind == "prob-log":
@@ -253,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="s1|s2|lah|h|g|prob-s1|prob-s2|prob-h|prob-g")
     p_table.add_argument("--rv", default=None, help="random variable spec, e.g. bernoulli:p=1/2")
     p_table.add_argument("--lambda", dest="lam", default="0", help="degeneracy parameter")
-    p_table.add_argument("--nmax", type=int, required=True)
+    p_table.add_argument("--nmax", type=int, required=True,
+                         help=f"last row of the table, at most {MAX_ORDER}")
     p_table.add_argument("--format", choices=("json", "csv"), default="json")
     p_table.set_defaults(func=_cmd_table)
 
@@ -264,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--gamma", default="1")
     p_series.add_argument("--x", default="0")
     p_series.add_argument("--order", type=int, default=None,
-                          help=f"truncation order (default {_DEFAULT_ORDER}, or ${ORDER_ENV_VAR})")
+                          help=f"truncation order, at most {MAX_ORDER} (default {_DEFAULT_ORDER}, "
+                               f"or ${ORDER_ENV_VAR})")
     p_series.add_argument("--format", choices=("json", "csv"), default="json")
     p_series.set_defaults(func=_cmd_series)
 
@@ -295,9 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main() call and reused after it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except CliInputError as exc:

@@ -227,6 +227,7 @@ def _mgf_power(rv: RandomVar, lam: Fraction, j: int, order: int) -> Series:
 # Order-gamma number families
 # ---------------------------------------------------------------------------
 
+@memo
 def prob_order_numbers(rv: RandomVar, lam: Scalar, gamma: Scalar, x: Scalar,
                        family: str, order: int) -> Series:
     """Probabilistic higher-order Bernoulli / Daehee / Cauchy number series.
@@ -238,10 +239,9 @@ def prob_order_numbers(rv: RandomVar, lam: Scalar, gamma: Scalar, x: Scalar,
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    lam = _rat(lam)
     if family == "bernoulli":
         return bernoulli_from_mgf(mgf_deg(rv, lam, order + 1), gamma, x)
-    if _rat(x) != 0:
+    if x != 0:
         raise ValueError(f"the {family} family does not take a shift argument")
     return order_from_log(prob_log(rv, lam, order + 1), gamma, family)
 

@@ -5,6 +5,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from probstirling import cli
 from probstirling.cli import main, parse_rational, parse_rv
@@ -120,6 +122,47 @@ def test_table_unknown_family_is_domain_error(capsys):
     code, _, err = run(capsys, "table", "--family", "nope", "--nmax", "2")
     assert code == 3
     assert "unknown table family" in err
+
+
+class WorkStarted(Exception):
+    """Raised by a stub in place of the function that would do the work."""
+
+
+def start_work(*args, **kwargs):
+    raise WorkStarted
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    for name in ("triangle", "prob_triangle", "prob_log", "prob_order_numbers"):
+        monkeypatch.setattr(cli, name, start_work)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--family", "prob-g", "--rv", "gamma:alpha=3/7,beta=2", "--nmax"],
+     "--nmax must be <= 150, got 151"),
+    (["series", "--kind", "cauchy", "--rv", "poisson:alpha=2", "--order"],
+     "--order must be <= 150, got 151"),
+])
+def test_sizes_past_the_cap_exit_2_before_any_work(capsys, no_work, argv, message):
+    assert cli.MAX_ORDER == 150
+    code, out, err = run(capsys, *argv, str(cli.MAX_ORDER + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    # the cap itself is allowed: the stub runs
+    with pytest.raises(WorkStarted):
+        main([*argv, str(cli.MAX_ORDER)])
+
+
+def test_order_variable_past_the_cap_exits_2_before_any_work(capsys, no_work, monkeypatch):
+    argv = ("series", "--kind", "prob-log", "--rv", "poisson:alpha=2")
+    monkeypatch.setenv("PROBSTIRLING_ORDER", str(cli.MAX_ORDER + 1))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: PROBSTIRLING_ORDER must be <= 150, got 151\n"
+    monkeypatch.setenv("PROBSTIRLING_ORDER", str(cli.MAX_ORDER))
+    with pytest.raises(WorkStarted):
+        main(list(argv))
 
 
 # -- series command --------------------------------------------------------------------
@@ -343,3 +386,92 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["nmax"] == 3
+
+
+# -- the JSON writer and the reused parser -----------------------------------------------
+
+def old_emit_json(payload, output):
+    """The writer the CLI used before `_json_text`: the reference bytes."""
+    cli._emit(json.dumps(payload, indent=2) + "\n", output)
+
+
+# keys and strings with quotes, backslashes, control and non-ASCII characters
+json_text = st.text(st.sampled_from('a/"\\\n\t\x00\x1f\x7fé€\U0001f600') | st.characters())
+json_scalars = (
+    st.none() | st.booleans() | st.floats()
+    | st.integers(min_value=-10**40, max_value=10**40) | json_text
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.tuples(children, children)
+                      | st.dictionaries(json_text, children, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+@example({"": {}, "e\u00e9\"\\\n": [], "rows": [[0, -10**30, "-1/2"], [[], [[]]], {}],
+          "flags": [True, False, None, 1.5, -0.0, float("inf")]})
+@example([])
+@example("\u2603")
+def test_json_writer_is_the_indented_encoder(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+def test_one_process_matches_a_fresh_parser_and_the_old_writer(
+        tmp_path, capsys, monkeypatch):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+
+    def old_main(argv):
+        args = build_parser().parse_args(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_emit_json", old_emit_json)
+            return args.func(args)
+
+    def outcome(entry, argv, target):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        written = target.read_bytes() if target.exists() else None
+        if target.exists():
+            target.unlink()
+        return code, captured.out, captured.err, written
+
+    out_file = tmp_path / "out.json"
+    table = ["table", "--family", "prob-s1", "--rv", "poisson:alpha=2",
+             "--lambda", "1/2", "--nmax", "6"]
+    series = ["series", "--kind", "daehee", "--rv", "geometric:p=1/3",
+              "--lambda=-1/3", "--gamma", "2"]
+    steps = [
+        (table, None),
+        (series + ["--order", "5"], None),
+        (["table", "--family"], None),              # argparse refuses it: exit 2
+        (table + ["--output", str(out_file)], None),
+        (["table", "--family", "lah", "--nmax", "4", "--format", "csv"], None),
+        (series, "4"),
+        (series + ["--output", str(out_file)], "7"),
+        (["series", "--help"], None),
+    ]
+    results = []
+    for argv, order in steps:
+        if order is not None:
+            monkeypatch.setenv("PROBSTIRLING_ORDER", order)
+        results.append(outcome(main, argv, out_file))
+        assert results[-1] == outcome(old_main, argv, out_file), argv
+    assert [r[0] for r in results] == [0, 0, ("exit", 2), 0, 0, 0, 0, ("exit", 0)]
+    assert [r[3] is not None for r in results] == [False] * 3 + [True] + [False] * 2 + [True, False]
+    assert json.loads(results[5][1])["order"] == 4
+    assert json.loads(results[6][3])["order"] == 7
+    assert len(builds) == 1

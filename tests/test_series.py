@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probstirling import series as series_module
-from probstirling.prob import bundle, mgf_deg, prob_triangle
+from probstirling.prob import bundle, mgf_deg, prob_order_numbers, prob_triangle
 from probstirling.randomvars import RandomVar
 from probstirling.series import (
     OrderMismatchError,
@@ -358,6 +358,16 @@ MEMOISED = {
     "log_deg_exp": (log_deg_exp, lambda lam, size: (lam, size)),
     "frobenius_euler": (frobenius_euler, lambda lam, size: (lam, size, F(3), 4)),
     "stirling1_deg_oracle": (stirling1_deg_oracle, lambda lam, size: (size, lam)),
+    # the float in gamma, then in x; a point mass at 1 has the unit mean a
+    # non-integer gamma needs
+    "prob_order_numbers-gamma": (
+        prob_order_numbers,
+        lambda gamma, size: (RandomVar.pointmass(1), F(1, 2), gamma, 0, "bernoulli", size),
+    ),
+    "prob_order_numbers-x": (
+        prob_order_numbers,
+        lambda x, size: (RandomVar.poisson(2), F(1, 2), 2, x, "bernoulli", size),
+    ),
 }
 
 
@@ -384,7 +394,9 @@ def test_memoised_entry_points_refuse_inexact_keys_warm_or_cold(name):
     ("probstirling.special.triangle", lambda lam: triangle("s1", lam, 10), 0),
     ("probstirling.prob.prob_triangle",
      lambda lam: prob_triangle(RandomVar.poisson(2), lam, "s1", 8), 1),
-], ids=["triangle", "prob_triangle"])
+    ("probstirling.prob.prob_order_numbers",
+     lambda lam: prob_order_numbers(RandomVar.poisson(2), lam, 2, 0, "cauchy", 8), 1),
+], ids=["triangle", "prob_triangle", "prob_order_numbers"])
 def test_an_int_lambda_shares_the_entry_of_the_equal_fraction(cache, build, lam):
     clear_caches()
     first = build(lam)

@@ -405,7 +405,8 @@ MODULE_CACHES = {
     "probstirling.closedforms._normal_w", "probstirling.closedforms._uni_m",
     "probstirling.closedforms._uni_t",
     "probstirling.prob._mgf_power", "probstirling.prob.bundle",
-    "probstirling.prob.mgf_deg", "probstirling.prob.prob_triangle",
+    "probstirling.prob.mgf_deg", "probstirling.prob.prob_order_numbers",
+    "probstirling.prob.prob_triangle",
     "probstirling.special.deg_exp", "probstirling.special.frobenius_euler",
     "probstirling.special.log_deg_exp", "probstirling.special.triangle",
     "probstirling.verify._double_sum_weights", "probstirling.verify._lam_only_records",
