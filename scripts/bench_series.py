@@ -10,7 +10,13 @@ lam = 0 and as the degenerate logarithm at lam = 1/2).  The
 the probabilistic triangles use: m - 1 (the second kind) and h (the first
 kind).  The `special.deg_exp` and `special.log_deg_exp` rows build the two
 base series at lam = 1/2 (deg_exp at x = 1) through `__wrapped__`, the
-function under its memo cache, so no row measures a cache hit.
+function under its memo cache, so no row measures a cache hit.  Three rows
+time scalar oracles of the verification suites: `special.falling_factorial`
+gives the N + 1 inputs (j)_{N,lam}, j = 0..N, of an inclusion-exclusion
+row; `special.bell_triangle` fills the order-N partial Bell table over the
+falling moments E[(Y)_{n,lam}], n = 1..N, of Poisson(2); and
+`prob.schlomilch_sum` evaluates row N, k = 0..N/2, of the first kind from
+the order-N second-kind triangle.
 Each row is the minimum over five repeats of one call, in milliseconds, so a
 slow spell of the host inflates fewer rows than a mean would.
 
@@ -34,11 +40,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from probstirling.prob import bundle, mgf_deg  # noqa: E402
+from probstirling.prob import bundle, mgf_deg, prob_triangle, schlomilch_sum  # noqa: E402
 from probstirling.randomvars import RandomVar  # noqa: E402
 from probstirling.series import Series  # noqa: E402
 from probstirling.special import (  # noqa: E402
-    deg_exp, deg_log, log_deg_exp, triangle_from_base,
+    bell_triangle, deg_exp, deg_log, falling_factorial, log_deg_exp, triangle_from_base,
 )
 
 LAM = Fraction(1, 2)
@@ -53,6 +59,8 @@ def cases(order: int) -> dict:
     b = bundle(rv, LAM, order)
     delta, reverted = b.delta, b.reverted
     one = Series.one(order)
+    moments = [mgf.egf(n) for n in range(1, order + 1)]
+    second_kind = prob_triangle(rv, LAM, "s2", order).value
     return {
         "mul": lambda: mgf * reverted,
         "div": lambda: one / mgf,
@@ -67,6 +75,11 @@ def cases(order: int) -> dict:
         "deg_exp": lambda: deg_exp.__wrapped__(LAM, Fraction(1), order),
         "log_deg_exp": lambda: log_deg_exp.__wrapped__(LAM, order),
         "deg_log": lambda: deg_log(LAM, order),
+        "falling_factorial": lambda: [falling_factorial(j, order, LAM)
+                                      for j in range(order + 1)],
+        "bell_triangle": lambda: bell_triangle(moments, order),
+        "schlomilch_sum": lambda: [schlomilch_sum(rv.mean(), second_kind, order, k)
+                                   for k in range(order // 2 + 1)],
     }
 
 

@@ -25,7 +25,9 @@ its double sum over Stirling tables through one integer connection table
 T(j, l), (-r y)_j = sum_l T(j, l) (y)_l, built by its own recurrence, and
 the gamma second kind's inner sum is a finite difference that vanishes
 below the diagonal.  The negative-binomial partial sums are integer dot
-products over one common denominator per sequence.  Seven logs are
+products over one common denominator per sequence, and the binomial,
+normal and uniform second kinds and the binomial first kind sum their
+terms as integers over the lcm of their denominators.  Seven logs are
 log_lam(u) = (u - 1).log1p(lam) of a printed unit series u, with no
 composition; the normal and uniform logs are their first kinds at k = 1.
 """
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .randomvars import RandomVar
 from .series import Scalar, Series, _rat, memo
@@ -100,6 +102,13 @@ def _tab(family: str, lam: Fraction, need: int):
     return triangle(family, lam, max(10, _bucket(need)))
 
 
+def _over_lcm(nums: list, dens: list) -> Fraction:
+    """sum(a / b for a, b in zip(nums, dens)) for integers a, b: each term
+    scaled to the lcm of the denominators, one `Fraction`."""
+    d = math.lcm(*dens)
+    return Fraction(sum([a * (d // b) for a, b in zip(nums, dens)]), d)
+
+
 # ---------------------------------------------------------------------------
 # Second-kind closed forms
 # ---------------------------------------------------------------------------
@@ -112,14 +121,18 @@ def _s2_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
         m, p = rv.param("m"), rv.param("p")
         s2c, s1c = _tab("s2", _ZERO, n), _tab("s1", _ZERO, n)
         s2l = _tab("s2", lam, n)
-        total = _ZERO
+        nums, dens = [], []
         for j in range(k, n + 1):
             c_jk = s2c.value(j, k)
             if not c_jk:
                 continue
             for i in range(j, n + 1):
-                total += m**j * p**i * c_jk * s1c.value(i, j) * s2l.value(n, i)
-        return total
+                s1v, s2v = s1c.value(i, j), s2l.value(n, i)
+                nums.append(m.numerator**j * p.numerator**i
+                            * c_jk.numerator * s1v.numerator * s2v.numerator)
+                dens.append(m.denominator**j * p.denominator**i
+                            * c_jk.denominator * s1v.denominator * s2v.denominator)
+        return _over_lcm(nums, dens)
     if kind == "poisson":
         alpha = rv.param("alpha")
         s2c, s2l = _tab("s2", _ZERO, n), _tab("s2", lam, n)
@@ -158,47 +171,42 @@ def _s2_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
             total += sign * binom(k, j) * frobenius_euler(lam, j, u, n).egf(n)
         return total * (1 / (p - 1)) ** k / factorial(k)
     if kind == "normal":
-        mu, sigma2 = rv.param("mu"), rv.param("sigma2")
+        mu, half = rv.param("mu"), rv.param("sigma2") / 2
         s2c, s1c = _tab("s2", _ZERO, n), _tab("s1", _ZERO, n)
-        total = _ZERO
+        nums, dens = [], []
         for m in range(k, n + 1):
             s1v = s1c.value(n, m)
             if not s1v:
                 continue
             for j in range(k, m + 1):
-                c = binom(j, m - j)
+                # m!/j! C(j, m-j) mu^(2j-m) (sigma2/2)^(m-j) lam^(n-m) S2(j, k) s1(n, m)
+                c = factorial(m) // factorial(j) * comb(j, m - j)
                 if not c:
                     continue
-                total += (
-                    Fraction(factorial(m), factorial(j))
-                    * c
-                    * mu ** (2 * j - m)
-                    * (sigma2 / 2) ** (m - j)
-                    * lam ** (n - m)
-                    * s2c.value(j, k)
-                    * s1v
-                )
-        return total
+                s2v = s2c.value(j, k)
+                nums.append(c * mu.numerator ** (2 * j - m) * half.numerator ** (m - j)
+                            * lam.numerator ** (n - m) * s2v.numerator * s1v.numerator)
+                dens.append(mu.denominator ** (2 * j - m) * half.denominator ** (m - j)
+                            * lam.denominator ** (n - m) * s2v.denominator * s1v.denominator)
+        return _over_lcm(nums, dens)
     if kind == "negbinomial":
         return _nb_s2(rv.param("p"), int(rv.param("r")), lam, n, k, depth)
     if kind == "uniform01":
         s2c, s1c = _tab("s2", _ZERO, 2 * n), _tab("s1", _ZERO, n)
-        total = _ZERO
+        nums, dens = [], []
         for m in range(n + 1):
             s1v = s1c.value(n, m)
             if not s1v:
                 continue
             for j in range(k + 1):
-                sign = -1 if (k - j) % 2 else 1
-                total += (
-                    sign
-                    * binom(k, j)
-                    / binom(m + j, j)
-                    * lam ** (n - m)
-                    * s2c.value(m + j, j)
-                    * s1v
-                )
-        return total / factorial(k)
+                # (-1)^(k-j) C(k, j) / C(m+j, j) lam^(n-m) S2(m+j, j) s1(n, m)
+                s2v = s2c.value(m + j, j)
+                num = (comb(k, j) * lam.numerator ** (n - m)
+                       * s2v.numerator * s1v.numerator)
+                nums.append(-num if (k - j) % 2 else num)
+                dens.append(comb(m + j, j) * lam.denominator ** (n - m)
+                            * s2v.denominator * s1v.denominator)
+        return _over_lcm(nums, dens) / factorial(k)
     raise ValueError(f"no second-kind closed form for {kind!r}")
 
 
@@ -214,16 +222,19 @@ def _s1_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
         m, p = rv.param("m"), rv.param("p")
         s2c, s1c = _tab("s2", _ZERO, n), _tab("s1", _ZERO, n)
         s1l = _tab("s1", lam, n)
-        total = _ZERO
+        nums, dens = [], []
         for j in range(k, n + 1):
             s1lv = s1l.value(j, k)
             if not s1lv:
                 continue
             for i in range(j, n + 1):
-                total += (
-                    p ** (-j) * m ** (-i) * s2c.value(i, j) * s1c.value(n, i) * s1lv
-                )
-        return total
+                # p^(-j) m^(-i) S2(i, j) s1(n, i) s1_lam(j, k)
+                s2v, s1v = s2c.value(i, j), s1c.value(n, i)
+                nums.append(p.denominator**j * m.denominator**i
+                            * s2v.numerator * s1v.numerator * s1lv.numerator)
+                dens.append(p.numerator**j * m.numerator**i
+                            * s2v.denominator * s1v.denominator * s1lv.denominator)
+        return _over_lcm(nums, dens)
     if kind == "poisson":
         alpha = rv.param("alpha")
         s1c, s1l = _tab("s1", _ZERO, n), _tab("s1", lam, n)

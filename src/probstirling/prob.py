@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
 from .randomvars import RandomVar
 from .series import Scalar, Series, _rat, memo
 from .special import (
     Triangle,
     bernoulli_from_mgf,
-    binom,
     deg_exp,
     log_deg_exp,
     order_from_log,
@@ -241,6 +241,9 @@ def prob_order_numbers(rv: RandomVar, lam: Scalar, gamma: Scalar, x: Scalar,
         raise ValueError("order must be >= 0")
     if family == "bernoulli":
         return bernoulli_from_mgf(mgf_deg(rv, lam, order + 1), gamma, x)
+    # refused before prob_log builds and reverts a bundle
+    if family not in ("daehee", "cauchy"):
+        raise ValueError(f"unknown order-number family {family!r}")
     if x != 0:
         raise ValueError(f"the {family} family does not take a shift argument")
     return order_from_log(prob_log(rv, lam, order + 1), gamma, family)
@@ -265,18 +268,29 @@ def schlomilch_sum(mean: Fraction, second_kind, n: int, k: int) -> Fraction:
     """Alternating binomial sum expressing first-kind values via second-kind ones.
 
     `second_kind` is any callable (n, k) -> Fraction; only second-kind data
-    is consumed, never a reversion.
+    is consumed, never a reversion.  With mean = p/q the j-th term is
+    (-1)^j C(n+j-1, n+j-k) C(2n-k, n-k-j) S(n-k+j, j) q^(n+j) p^(n-k-j)
+    over p^(2n-k); the terms are summed as integers over L p^(2n-k), L the
+    lcm of the second-kind denominators, into one `Fraction`.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    total = _ZERO
+    p, q = mean.numerator, mean.denominator
+    top = 2 * n - k
+    nums, dens = [], []
     for j in range(n - k + 1):
-        c = binom(n + j - 1, n + j - k) * binom(2 * n - k, n - k - j)
+        # C(n+j-1, n+j-k) is C(-1, 0) = 1 at n = j = 0
+        c = (comb(n + j - 1, n + j - k) if n + j else 1) * comb(top, n - k - j)
         if not c:
             continue
-        term = c * second_kind(n - k + j, j) * mean ** (-(n + j))
-        total += -term if j % 2 else term
-    return total
+        value = second_kind(n - k + j, j)
+        c *= value.numerator * q ** (n + j) * p ** (top - n - j)
+        nums.append(-c if j % 2 else c)
+        dens.append(value.denominator)
+    if not nums:
+        return _ZERO
+    d = lcm(*dens)
+    return Fraction(sum(c * (d // e) for c, e in zip(nums, dens)), d * p**top)
 
 
 def schlomilch_s1(rv: RandomVar, lam: Scalar, n: int, k: int) -> Fraction:

@@ -69,50 +69,61 @@ TRIANGLE_FAMILIES = ("s1", "s2", "lah", "h", "g")
 
 
 def binom(top: Scalar, k: int) -> Fraction:
-    """Generalized binomial coefficient C(top, k), zero for k < 0."""
+    """Generalized binomial coefficient C(top, k), zero for k < 0.
+
+    An `int` top is read as it is; a rational top p/q gives the integer
+    product p(p - q)...(p - (k-1) q) over q**k k!, one `Fraction`.
+    """
     if k < 0:
         return _ZERO
-    top = _rat(top)
-    if top.denominator == 1:
-        m = top.numerator
-        if m >= 0:
-            return Fraction(comb(m, k))
-        # C(m, k) = (-1)^k C(k - m - 1, k) for a negative integer m
-        c = comb(k - m - 1, k)
-        return Fraction(-c if k % 2 else c)
-    num = _ONE
-    for i in range(k):
-        num *= top - i
-    return num / factorial(k)
+    if type(top) is not int:
+        top = _rat(top)
+        q = top.denominator
+        if q != 1:
+            p, num = top.numerator, 1
+            for i in range(k):
+                num *= p - i * q
+            return Fraction(num, q**k * factorial(k))
+        top = top.numerator
+    if top >= 0:
+        return Fraction(comb(top, k))
+    # C(m, k) = (-1)^k C(k - m - 1, k) for a negative integer m
+    c = comb(k - top - 1, k)
+    return Fraction(-c if k % 2 else c)
 
 
 def falling_factorial(x: Scalar, n: int, lam: Scalar) -> Fraction:
     """x(x - lam)(x - 2 lam)...(x - (n-1) lam); the empty product is 1.
 
-    lam = 1 gives the ordinary falling factorial, lam = 0 gives x**n.
+    lam = 1 gives the ordinary falling factorial, lam = 0 gives x**n.  With
+    x = p/q and lam = r/s it is the integer running product of
+    p s - i r q over (q s)**n, one `Fraction`.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     x, lam = _rat(x), _rat(lam)
-    out = _ONE
+    top, step = x.numerator * lam.denominator, lam.numerator * x.denominator
+    num = 1
     for i in range(n):
-        out *= x - i * lam
-    return out
+        num *= top - i * step
+    return Fraction(num, (x.denominator * lam.denominator) ** n)
 
 
 def rising_factorial(x: Scalar, n: int, lam: Scalar) -> Fraction:
     """x(x + lam)(x + 2 lam)...(x + (n-1) lam), computed directly.
 
     Deliberately not reduced to a sign-flipped falling factorial, so the two
-    can cross-check each other.
+    can cross-check each other: its own integer running product of
+    p s + i r q over (q s)**n, for x = p/q and lam = r/s.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     x, lam = _rat(x), _rat(lam)
-    out = _ONE
+    top, step = x.numerator * lam.denominator, lam.numerator * x.denominator
+    num = 1
     for i in range(n):
-        out *= x + i * lam
-    return out
+        num *= top + i * step
+    return Fraction(num, (x.denominator * lam.denominator) ** n)
 
 
 @memo
@@ -282,17 +293,27 @@ def bell_triangle(x: Sequence[Scalar], nmax: int) -> Triangle:
         raise ValueError("nmax must be >= 0")
     if len(x) < nmax:
         raise ValueError(f"need at least {nmax} sequence entries, got {len(x)}")
-    xs = [_rat(v) for v in x]
+    xs, d = _scaled([_rat(v) for v in x][:nmax])
+    # B_{n,k} is homogeneous of degree k: with x_i = xs[i-1] / d the entry
+    # is the integer recurrence over xs, divided by d**k.  cols[k][m] is
+    # the integer B_{m,k}
+    cols = [[1]]
     rows = [(_ONE,)]
     for n in range(1, nmax + 1):
+        # w[i - 1] = C(n-1, i-1) x_i for i = 1..n
+        w = [comb(n - 1, i) * xs[i] for i in range(n)]
+        cols[0].append(0)
+        cols.append([0] * n)
         row = [_ZERO] * (n + 1)
+        dk = 1
         for k in range(1, n + 1):
-            total = _ZERO
-            for i in range(1, n - k + 2):
-                below = rows[n - i][k - 1]
-                if below and xs[i - 1]:
-                    total += comb(n - 1, i - 1) * xs[i - 1] * below
-            row[k] = total
+            dk *= d
+            # sum_{i=1}^{n-k+1} w[i-1] B_{n-i,k-1}; rows n-1 down to k-1
+            below = cols[k - 1]
+            total = sum(map(mul, w[: n - k + 1], reversed(below[k - 1:n])))
+            cols[k].append(total)
+            if total:
+                row[k] = Fraction(total, dk)
         rows.append(tuple(row))
     return Triangle("bell", _ZERO, nmax, tuple(rows))
 

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -352,6 +352,18 @@ def _record(identity: str, rv_desc: str, lam: Fraction, nmax: int,
     return IdentityRecord(identity, rv_desc, str(lam), nmax, "pass")
 
 
+def _dot(xs: Sequence, ys: Sequence) -> Fraction:
+    """sum(x * y for x, y in zip(xs, ys)) over exact rationals: the products
+    as integer numerators over the lcm of their denominators, one `Fraction`.
+
+    The oracles' weighted sums go through it; the engine never calls it.
+    """
+    nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
+    dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+    d = lcm(*dens)
+    return Fraction(sum([num * (d // den) for num, den in zip(nums, dens)]), d)
+
+
 def _rational_sequence(seed: int, length: int) -> list:
     rng = random.Random(seed)
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(length)]
@@ -384,11 +396,10 @@ def check_orthogonality(t2: Triangle, t1: Triangle, seed: int = 20250801) -> Ver
 
     def orthogonality(outer: Triangle, inner: Triangle):
         for n in range(nmax + 1):
+            row = outer.rows[n]
             for l in range(n + 1):
-                total = sum(
-                    (outer.value(n, k) * inner.value(k, l) for k in range(l, n + 1)), _ZERO
-                )
-                yield (n, l), total, (_ONE if n == l else _ZERO)
+                column = [inner.rows[k][l] for k in range(l, n + 1)]
+                yield (n, l), _dot(row[l:], column), (_ONE if n == l else _ZERO)
 
     b = _rational_sequence(seed, nmax + 1)
 
@@ -396,8 +407,8 @@ def check_orthogonality(t2: Triangle, t1: Triangle, seed: int = 20250801) -> Ver
         # columns: a_n = sum_k T2(n,k) b_k; rows: a_n = sum_k T2(k,n) b_k
         def apply(t: Triangle, seq: list, n: int) -> Fraction:
             if transposed:
-                return sum((t.value(k, n) * seq[k] for k in range(n, nmax + 1)), _ZERO)
-            return sum((t.value(n, k) * seq[k] for k in range(n + 1)), _ZERO)
+                return _dot([t.rows[k][n] for k in range(n, nmax + 1)], seq[n:])
+            return _dot(t.rows[n], seq)
 
         a = [apply(t2, b, n) for n in range(nmax + 1)]
         for n in range(nmax + 1):
@@ -640,15 +651,14 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     rec(_record("second-kind-three-way", desc, lam, nmax, second_kind_three_way()))
 
     # moment series vs textbook moments (the one check a perturbed moment breaks)
+    # sum_k s(n, k) lam^(n-k) E[Y^k], with lam = a/b over the denominator b^n
     def mgf_vs_moments():
         s1c = stirling1_oracle(nmax)
+        moments = [moment_oracle(rv, k) for k in range(nmax + 1)]
+        a, b = lam.numerator, lam.denominator
         for n in range(nmax + 1):
-            engine = falling_moments[n]
-            total = _ZERO
-            for k in range(n + 1):
-                if s1c[n][k]:
-                    total += s1c[n][k] * lam ** (n - k) * moment_oracle(rv, k)
-            yield (n,), engine, total
+            weights = [s1c[n][k] * (a ** (n - k) * b**k) for k in range(n + 1)]
+            yield (n,), falling_moments[n], _dot(weights, moments) / b**n
 
     rec(_record("mgf-vs-moments", desc, lam, nmax, mgf_vs_moments()))
 
@@ -691,22 +701,18 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
 
     rec(_record("rising-first-kind-multi-way", desc, lam, nmax, rising_first_kind()))
 
-    # partial Bell of shifted falling moments vs second-kind sums
+    # partial Bell of shifted falling moments vs second-kind sums:
+    # sum_j C(n+k, k-j) n!/(n+k)! (-mean)^(k-j) S(n+j, j), with mean = p/q
+    # over the denominator (n+k)!/n! q^k
+    p, q = mean.numerator, mean.denominator
+
     def shifted_bell():
         for n in range(nmax + 1):
             for k in range(n + 1):
-                lhs = shifted_args_bell.value(n, k)
-                rhs = sum(
-                    (
-                        binom(n + k, k - j)
-                        * Fraction(factorial(n), factorial(n + k))
-                        * (-mean) ** (k - j)
-                        * t2big.value(n + j, j)
-                        for j in range(k + 1)
-                    ),
-                    _ZERO,
-                )
-                yield (n, k), lhs, rhs
+                weights = [comb(n + k, k - j) * (-p) ** (k - j) * q**j for j in range(k + 1)]
+                column = [t2big.rows[n + j][j] for j in range(k + 1)]
+                rhs = _dot(weights, column) / (factorial(n + k) // factorial(n) * q**k)
+                yield (n, k), shifted_args_bell.rows[n][k], rhs
 
     rec(_record("shifted-bell-vs-second-kind", desc, lam, nmax, shifted_bell()))
 
@@ -718,12 +724,8 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
                 for k in range(nmax + 1)
             ]
             for n in range(nmax + 1):
-                lhs = beta(gamma).egf(n)
-                rhs = sum(
-                    (weights[k] * shifted_args_bell.value(n, k) for k in range(n + 1)),
-                    _ZERO,
-                )
-                yield (gamma, n), lhs, rhs
+                rhs = _dot(weights, shifted_args_bell.rows[n])
+                yield (gamma, n), beta(gamma).egf(n), rhs
 
     rec(_record("bernoulli-from-shifted-bell", desc, lam, nmax, bernoulli_from_bell()))
 
@@ -731,15 +733,12 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     def bernoulli_double_sum():
         for gamma in gammas:
             for n in range(nmax + 1):
-                lhs = beta(gamma).egf(n)
-                rhs = sum(
-                    (
-                        w * mean_power(-gamma - j) * t2big.value(n + j, j)
-                        for j, w in _double_sum_weights(gamma, n)
-                    ),
-                    _ZERO,
+                weights = _double_sum_weights(gamma, n)
+                rhs = _dot(
+                    [w * mean_power(-gamma - j) for j, w in weights],
+                    [t2big.rows[n + j][j] for j, _ in weights],
                 )
-                yield (gamma, n), lhs, rhs
+                yield (gamma, n), beta(gamma).egf(n), rhs
 
     rec(_record("bernoulli-double-sum", desc, lam, nmax, bernoulli_double_sum()))
 
@@ -775,8 +774,7 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
             d = order_series(family, gamma)
             weights = [beta(sign * gamma).egf(k) for k in range(nmax + 1)]
             for n in range(nmax + 1):
-                rhs = sum((weights[k] * t1.value(n, k) for k in range(n + 1)), _ZERO)
-                yield (gamma, n), d.egf(n), rhs
+                yield (gamma, n), d.egf(n), _dot(weights, t1.rows[n])
 
     def order_ratio(family: str, sign: int):
         for gamma in gammas:

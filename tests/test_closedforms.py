@@ -5,13 +5,15 @@ from functools import cache
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probstirling import closedforms
 from probstirling.cli import main
 from probstirling.closedforms import NumericResult, closed_form, uniform_first_kind
 from probstirling.prob import prob_log, prob_triangle
 from probstirling.randomvars import RandomVar
-from probstirling.special import binom, falling_factorial
+from probstirling.special import binom, falling_factorial, triangle
 from probstirling.verify import (
     identity_suite,
     stirling1_deg_oracle,
@@ -266,6 +268,74 @@ def test_gamma_second_kind_matches_the_printed_double_sum(rv):
                 assert closed_form(rv, lam, "s2", n, k) == literal_gamma_s2(
                     alpha, beta, lam, n, k
                 ), (lam, n, k)
+
+
+def ref_binomial_s2(m, p, lam, n, k):
+    """The binomial second kind before its integer sum: one `Fraction`
+    multiply and add per term."""
+    s2c, s1c, s2l = triangle("s2", 0, n), triangle("s1", 0, n), triangle("s2", lam, n)
+    total = F(0)
+    for j in range(k, n + 1):
+        for i in range(j, n + 1):
+            total += m**j * p**i * s2c.value(j, k) * s1c.value(i, j) * s2l.value(n, i)
+    return total
+
+
+def ref_binomial_s1(m, p, lam, n, k):
+    """The binomial first kind before its integer sum."""
+    m = F(m)
+    s2c, s1c, s1l = triangle("s2", 0, n), triangle("s1", 0, n), triangle("s1", lam, n)
+    total = F(0)
+    for j in range(k, n + 1):
+        for i in range(j, n + 1):
+            total += p ** (-j) * m ** (-i) * s2c.value(i, j) * s1c.value(n, i) * s1l.value(j, k)
+    return total
+
+
+def ref_normal_s2(mu, sigma2, lam, n, k):
+    """The normal second kind before its integer sum."""
+    s2c, s1c = triangle("s2", 0, n), triangle("s1", 0, n)
+    total = F(0)
+    for m in range(k, n + 1):
+        for j in range(k, m + 1):
+            total += (F(factorial(m), factorial(j)) * binom(j, m - j) * mu ** (2 * j - m)
+                      * (sigma2 / 2) ** (m - j) * lam ** (n - m)
+                      * s2c.value(j, k) * s1c.value(n, m))
+    return total
+
+
+def ref_uniform_s2(lam, n, k):
+    """The uniform second kind before its integer sum."""
+    s2c, s1c = triangle("s2", 0, 2 * n), triangle("s1", 0, n)
+    total = F(0)
+    for m in range(n + 1):
+        for j in range(k + 1):
+            sign = -1 if (k - j) % 2 else 1
+            total += (sign * binom(k, j) / binom(m + j, j) * lam ** (n - m)
+                      * s2c.value(m + j, j) * s1c.value(n, m))
+    return total / factorial(k)
+
+
+_ratio = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+_unit = st.fractions(min_value=0, max_value=1, max_denominator=9).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    _ratio, st.integers(1, 6), _unit, _ratio.filter(bool),
+    st.fractions(min_value=0, max_value=5, max_denominator=9).filter(bool),
+)
+def test_integer_closed_forms_match_their_fraction_loops(nk, lam, m, p, mu, sigma2):
+    # zero, negative and positive lam; the first-kind normal form needs lam != 0
+    n, k = nk
+    binomial = RandomVar.binomial(m, p)
+    assert closed_form(binomial, lam, "s2", n, k) == ref_binomial_s2(m, p, lam, n, k)
+    assert closed_form(binomial, lam, "s1", n, k) == ref_binomial_s1(m, p, lam, n, k)
+    normal = RandomVar.normal(mu, sigma2)
+    assert closed_form(normal, lam, "s2", n, k) == ref_normal_s2(mu, sigma2, lam, n, k)
+    uniform = closed_form(RandomVar.uniform01(), lam, "s2", n, k)
+    assert type(uniform) is F and uniform == ref_uniform_s2(lam, n, k)
 
 
 @pytest.mark.parametrize("lam", [F(0), F(1, 2), F(-1, 3)], ids=str)

@@ -1,9 +1,12 @@
 """Probabilistic engine: moment series, triangles, logs, order numbers."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probstirling.prob import (
     bundle,
@@ -14,11 +17,12 @@ from probstirling.prob import (
     prob_order_numbers,
     prob_triangle,
     schlomilch_s1,
+    schlomilch_sum,
     sj_moment,
 )
 from probstirling.randomvars import RandomVar, builtin_random_vars
-from probstirling.series import Series, lagrange_extract
-from probstirling.special import deg_exp, deg_log, falling_factorial, triangle
+from probstirling.series import Series, clear_caches, lagrange_extract
+from probstirling.special import binom, deg_exp, deg_log, falling_factorial, triangle
 from probstirling.verify import moment_oracle, stirling1_oracle
 
 LAM = F(1, 3)
@@ -234,6 +238,23 @@ def test_shift_argument_only_for_bernoulli():
         prob_order_numbers(RandomVar.poisson(2), LAM, 1, F(1, 2), "cauchy", 4)
 
 
+def test_unknown_order_family_is_refused_before_any_reversion(monkeypatch):
+    calls = []
+    revert = Series.revert
+
+    def counting_revert(self):
+        calls.append(self.order)
+        return revert(self)
+
+    monkeypatch.setattr(Series, "revert", counting_revert)
+    clear_caches()  # so no cached bundle hides a reversion
+    zero_mean = RandomVar.custom([F(1), F(0), F(1), F(0), F(3), F(0), F(15), F(0)])
+    for rv, x in ((RandomVar.poisson(3), 0), (zero_mean, 0), (RandomVar.poisson(3), 1)):
+        with pytest.raises(ValueError, match="unknown order-number family 'nope'"):
+            prob_order_numbers(rv, F(1, 3), 1, x, "nope", 5)
+    assert calls == []
+
+
 # -- probabilistic logarithm ---------------------------------------------------------
 
 def test_bernoulli_log_is_rescaled_deg_log():
@@ -287,6 +308,38 @@ def test_schlomilch_diagonal():
 def test_schlomilch_rejects_k_outside_the_row(n, k):
     with pytest.raises(ValueError, match="need 0 <= k <= n"):
         schlomilch_s1(RandomVar.poisson(2), LAM, n, k)
+
+
+def ref_schlomilch_sum(mean, second_kind, n, k):
+    """`schlomilch_sum` before it summed over one integer denominator: one
+    `Fraction` multiply, power and add per term."""
+    total = F(0)
+    for j in range(n - k + 1):
+        c = binom(n + j - 1, n + j - k) * binom(2 * n - k, n - k - j)
+        if not c:
+            continue
+        term = c * second_kind(n - k + j, j) * mean ** (-(n + j))
+        total += -term if j % 2 else term
+    return total
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool),
+    st.integers(0, 2**32),
+)
+def test_schlomilch_sum_matches_its_fraction_loop(nk, mean, seed):
+    # a seeded random (n, k) -> Fraction table, about a third of it zero,
+    # and negative means
+    n, k = nk
+    rng = random.Random(seed)
+    table = [[F(rng.randint(-50, 50), rng.randint(1, 40)) if rng.random() > 1 / 3 else F(0)
+              for _ in range(13)] for _ in range(13)]
+    second_kind = lambda i, j: table[i][j]  # noqa: E731
+    got = schlomilch_sum(mean, second_kind, n, k)
+    assert type(got) is F
+    assert got == ref_schlomilch_sum(mean, second_kind, n, k)
 
 
 def test_schlomilch_bernoulli_scaling():

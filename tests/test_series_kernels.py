@@ -2,10 +2,14 @@
 registry of memo caches, and fault injection into the kernels and into the
 closed-form, inclusion-exclusion, partial-Bell, recurrence-oracle,
 Lagrange-extraction, textbook-moment, `special.triangle_from_base`,
-`special.deg_exp` and `special.falling_factorial` routes (the
-route-independence guard on `revert` is the Lambert-W test in
-`test_series.py`, and its twin on `compose` is below; `triangle_from_base`
-is checked against its old `Series`-product loop in `test_special.py`).
+`special.deg_exp` and `special.order_numbers` routes and the scalar routes
+`special.falling_factorial`, `special.rising_factorial`,
+`prob.schlomilch_sum` and `verify._dot` (the route-independence guard on
+`revert` is the Lambert-W test in `test_series.py`, and its twin on
+`compose` is below; `triangle_from_base`, `bell_triangle`, `binom` and the
+two factorials are checked against their old `Fraction` loops in
+`test_special.py`, `schlomilch_sum` in `test_prob.py` and `_dot` in
+`test_verify.py`).
 
 The reference functions below are the coefficient loops `Series` ran before
 its kernels moved to integer numerators over a common denominator.  They
@@ -450,8 +454,8 @@ def faulty_method(name):
 
 # route -> what identity_suite(poisson(2), 1/2, 4) and limit_suite(4) do with
 # that route's top output raised by 1/7 (every value, for the scalar routes
-# closed_form, lagrange_extract, moment_oracle and falling_factorial): the
-# bundle's round trip
+# closed_form, lagrange_extract, moment_oracle, falling_factorial,
+# rising_factorial, schlomilch_sum and verify._dot): the bundle's round trip
 # compose(delta, revert(delta)) = t raises in both, or these records fail
 # (identity_suite's, limit_suite's)
 ROUND_TRIP = "round-trip assertion"
@@ -560,6 +564,34 @@ ROUTE_OUTCOMES = {
         frozenset({"bernoulli-from-shifted-bell"}),
         frozenset({"deg-s2-incl-excl", "falling-step-one", "prob-classical-limit"}),
     ),
+    # the rising twin: the engine never calls it either, and poisson(2)'s
+    # textbook moments do not read it; the gamma and negative-binomial
+    # moments of prob-classical-limit's inclusion-exclusion side do
+    "rising_factorial": (
+        frozenset(),
+        frozenset({"prob-classical-limit", "rising-incl-excl", "rising-step-one"}),
+    ),
+    # second-kind data only, against the reversion-based triangles and log
+    "schlomilch_sum": (
+        frozenset({"log-from-second-kind", "schlomilch", "schlomilch-rising"}),
+        frozenset(),
+    ),
+    # the bridges read the order-(n - 1) numbers up to t^(n-1), and the
+    # point-mass reduction compares them with prob_order_numbers
+    "order_numbers": (
+        frozenset({"first-kind-order-bridge", "second-kind-cauchy-bridge"}),
+        frozenset({"pointmass-reduction"}),
+    ),
+    # every weighted sum of the oracles, each against an engine value
+    "_dot": (
+        frozenset({
+            "bernoulli-double-sum", "bernoulli-from-shifted-bell",
+            "cauchy-from-first-kind", "daehee-from-first-kind", "inversion-columns",
+            "inversion-rows", "mgf-vs-moments", "orthogonality-left",
+            "orthogonality-right", "shifted-bell-vs-second-kind",
+        }),
+        frozenset(),
+    ),
 }
 
 _real_closed_form = verify.closed_form
@@ -597,6 +629,10 @@ def faulty_triangle(real):
 
 _real_deg_exp = special.deg_exp
 _real_falling_factorial = special.falling_factorial
+_real_rising_factorial = special.rising_factorial
+_real_schlomilch_sum = prob.schlomilch_sum
+_real_order_numbers = special.order_numbers
+_real_dot = verify._dot
 _real_lagrange_extract = verify.lagrange_extract
 _real_moment_oracle = verify.moment_oracle
 
@@ -608,6 +644,22 @@ def faulty_deg_exp(lam, x, order):
 
 def faulty_falling_factorial(*args):
     return _real_falling_factorial(*args) + F(1, 7)
+
+
+def faulty_rising_factorial(*args):
+    return _real_rising_factorial(*args) + F(1, 7)
+
+
+def faulty_schlomilch_sum(*args):
+    return _real_schlomilch_sum(*args) + F(1, 7)
+
+
+def faulty_order_numbers(*args):
+    return bump_top(_real_order_numbers(*args))
+
+
+def faulty_dot(*args):
+    return _real_dot(*args) + F(1, 7)
 
 
 def faulty_lagrange_extract(*args):
@@ -628,6 +680,10 @@ NAMED_FAULTS = {
                            (special, prob, verify)),
     "deg_exp": (faulty_deg_exp, (special, prob, verify)),
     "falling_factorial": (faulty_falling_factorial, (special, verify, closedforms)),
+    "rising_factorial": (faulty_rising_factorial, (special, verify)),
+    "schlomilch_sum": (faulty_schlomilch_sum, (prob, verify)),
+    "order_numbers": (faulty_order_numbers, (special, verify)),
+    "_dot": (faulty_dot, (verify,)),
     "lagrange_extract": (faulty_lagrange_extract, (verify,)),
     "moment_oracle": (faulty_moment_oracle, (verify,)),
 }

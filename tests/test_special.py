@@ -1,6 +1,7 @@
 """Deterministic number families against closed forms and brute-force oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -73,6 +74,80 @@ def test_rising_factorial_examples():
 )
 def test_rising_is_sign_flipped_falling(x, n, lam):
     assert rising_factorial(x, n, lam) == (-1) ** n * falling_factorial(-x, n, lam)
+
+
+def ref_binom(top, k):
+    """`binom` before its integer products: `comb` for an integer top, one
+    `Fraction` multiply per factor for a rational one."""
+    if k < 0:
+        return F(0)
+    top = F(top)
+    if top.denominator == 1:
+        m = top.numerator
+        if m >= 0:
+            return F(math.comb(m, k))
+        c = math.comb(k - m - 1, k)
+        return F(-c if k % 2 else c)
+    num = F(1)
+    for i in range(k):
+        num *= top - i
+    return num / factorial(k)
+
+
+def ref_falling_factorial(x, n, lam):
+    """`falling_factorial` before its integer running product."""
+    x, lam = F(x), F(lam)
+    out = F(1)
+    for i in range(n):
+        out *= x - i * lam
+    return out
+
+
+def ref_rising_factorial(x, n, lam):
+    """`rising_factorial` before its integer running product."""
+    x, lam = F(x), F(lam)
+    out = F(1)
+    for i in range(n):
+        out *= x + i * lam
+    return out
+
+
+_rational = st.fractions(min_value=-9, max_value=9, max_denominator=30)
+# negative, zero and positive steps, integral or not
+_step = st.one_of(st.just(0), st.integers(-3, 3), _rational)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(-9, 9), _rational), st.integers(0, 12), _step)
+def test_factorials_match_their_fraction_loops(x, n, lam):
+    for fn, ref in ((falling_factorial, ref_falling_factorial),
+                    (rising_factorial, ref_rising_factorial)):
+        got = fn(x, n, lam)
+        assert type(got) is F
+        assert got == ref(x, n, lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.just(0), st.just(F(0)), st.integers(-20, 20),
+              st.fractions(min_value=-20, max_value=20, max_denominator=12)),
+    st.integers(-3, 30),
+)
+def test_binom_matches_its_fraction_loop(top, k):
+    # k runs past every top, where an integer top >= 0 gives 0
+    got = binom(top, k)
+    assert type(got) is F
+    assert got == ref_binom(top, k)
+
+
+def test_factorials_refuse_a_float_or_a_negative_n():
+    for fn in (falling_factorial, rising_factorial):
+        with pytest.raises(TypeError):
+            fn(0.5, 2, 1)
+        with pytest.raises(TypeError):
+            fn(1, 2, 0.5)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            fn(1, -1, 1)
 
 
 def test_step_one_reduces_to_classical():
@@ -400,6 +475,37 @@ def test_bell_triangle_matches_enumeration():
             assert len(table.row(n)) == n + 1
             for k in range(n + 1):
                 assert table.value(n, k) == bell_by_enumeration(xs, n, k), (nmax, n, k)
+
+
+def ref_bell_triangle(x, nmax):
+    """The rows `bell_triangle` filled before its integer recurrence: Comtet's
+    recurrence with one `Fraction` multiply and add per term."""
+    rows = [(F(1),)]
+    for n in range(1, nmax + 1):
+        row = [F(0)] * (n + 1)
+        for k in range(1, n + 1):
+            total = F(0)
+            for i in range(1, n - k + 2):
+                below = rows[n - i][k - 1]
+                if below and x[i - 1]:
+                    total += math.comb(n - 1, i - 1) * F(x[i - 1]) * below
+            row[k] = total
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda nmax: st.tuples(
+    st.just(nmax),
+    st.lists(st.one_of(st.just(0), st.integers(-9, 9), _rational),
+             min_size=nmax, max_size=nmax + 2),
+)))
+def test_bell_triangle_matches_its_fraction_loop(case):
+    # zeros, negative entries, ints, and entries past x_nmax that never enter
+    nmax, xs = case
+    table = bell_triangle(xs, nmax)
+    assert table.rows == ref_bell_triangle(xs, nmax)
+    assert all(type(v) is F for row in table.rows for v in row)
 
 
 def test_bell_triangle_input_validation():

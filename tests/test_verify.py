@@ -35,6 +35,29 @@ LAM = F(1, 3)
 
 # -- oracles ---------------------------------------------------------------------
 
+_big_coprime_denominators = st.sampled_from([1, 999_983, 1_000_003, 2**61 - 1, 10**12 + 39])
+_dot_entry = st.one_of(
+    st.just(F(0)),
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-9, max_value=9, max_denominator=50),
+    st.builds(F, st.integers(-10**20, 10**20), _big_coprime_denominators),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda m: st.tuples(
+    st.lists(_dot_entry, min_size=m, max_size=m),
+    st.lists(_dot_entry, min_size=m, max_size=m),
+)))
+def test_dot_matches_the_fraction_sum(xs_ys):
+    # empty and all-zero inputs, mixed signs, ints, large coprime denominators
+    xs, ys = xs_ys
+    got = verify._dot(xs, ys)
+    assert type(got) is F
+    assert got == sum((F(x) * y for x, y in zip(xs, ys)), F(0))
+    assert verify._dot([F(0)] * len(xs), ys) == 0
+
+
 def test_stirling_oracle_known_rows():
     s1, s2 = stirling1_oracle(5), stirling2_oracle(5)
     assert list(s1[4]) == [0, -6, 11, -6, 1]
