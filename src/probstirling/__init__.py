@@ -50,7 +50,7 @@ from .prob import (
     schlomilch_sum,
     sj_moment,
 )
-from .closedforms import NumericResult, closed_form, uniform_first_kind
+from .closedforms import closed_form, uniform_first_kind
 from .verify import (
     DEFAULT_GAMMAS,
     DEFAULT_LAMBDA_GRID,
@@ -77,7 +77,7 @@ __all__ = [
     "ProbBundle", "bundle", "mgf_deg", "mgf_deg_neg", "moment", "prob_log",
     "prob_order_numbers", "prob_triangle", "schlomilch_s1", "schlomilch_sum",
     "sj_moment",
-    "NumericResult", "closed_form", "uniform_first_kind",
+    "closed_form", "uniform_first_kind",
     "DEFAULT_GAMMAS", "DEFAULT_LAMBDA_GRID", "IdentityRecord", "MCEstimate",
     "VerificationReport", "check_orthogonality", "identity_suite",
     "limit_suite", "mc_check", "moment_oracle",

@@ -264,7 +264,7 @@ def _cmd_verify(args) -> int:
     combined = VerificationReport("verify")
     for rv in rvs:
         for lam in lam_grid:
-            combined.extend(identity_suite(rv, lam, nmax, gammas, args.depth))
+            combined.extend(identity_suite(rv, lam, nmax, gammas))
             t2 = prob_triangle(rv, lam, "s2", nmax)
             t1 = prob_triangle(rv, lam, "s1", nmax)
             combined.extend(check_orthogonality(t2, t1))
@@ -324,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--nmax", type=int, default=8)
     p_verify.add_argument("--gammas", default=",".join(str(g) for g in DEFAULT_GAMMAS),
                           help="comma-separated integer orders; a non-integer exits 3")
-    p_verify.add_argument("--depth", type=int, default=60,
-                          help="truncation depth (>= 10) for the negative-binomial "
-                               "closed forms, the only infinite ones")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_mc = sub.add_parser("mc", parents=[common], help="Monte Carlo cross-check")

@@ -7,50 +7,43 @@ This module evaluates those formulas *literally*, without ever reverting a
 series, so they can serve as an independent check of the reversion-based
 engine in :mod:`probstirling.prob`.
 
-Every formula except the negative binomial's is a finite sum of rationals
-and is returned as an exact `Fraction`.  The gamma first kind and the normal
-first kind and log are printed with an infinite auxiliary sum, but every
-term past index n is exactly 0 (a finite difference of order above a
-polynomial's degree), so they are summed to n only.  The negative-binomial
-forms (both kinds) are genuinely infinite: they are evaluated as partial
-sums to a caller-chosen depth and returned as :class:`NumericResult`, with a
-stabilization flag instead of a convergence proof.  Their partial sums are
-accumulated in exact rational arithmetic; floating point only enters for the
-irrational scale factors of the first kind (and for the final comparison
-value).
+Every formula is returned as an exact `Fraction`.  The gamma first kind
+and the normal first kind and log are printed with an infinite auxiliary
+sum, but every term past index n is exactly 0 (a finite difference of order
+above a polynomial's degree), so they are summed to n only.  The
+negative-binomial forms (both kinds) are printed as infinite series in a
+generating function whose argument is exactly 1 at the evaluation point,
+so each collapses to a finite sum over i = k..n of a degenerate Stirling
+table against an integer connection table.
 
 Some printed sums are re-associated, each to the same exact value and
-without leaving this module's route: the negative-binomial second kind sums
-its double sum over Stirling tables through one integer connection table
-T(j, l), (-r y)_j = sum_l T(j, l) (y)_l, built by its own recurrence, and
-the gamma second kind's inner sum is a finite difference that vanishes
-below the diagonal.  The negative-binomial partial sums are integer dot
-products over one common denominator per sequence, and the binomial,
-normal and uniform second kinds and the binomial first kind sum their
-terms as integers over the lcm of their denominators.  Seven logs are
-log_lam(u) = (u - 1).log1p(lam) of a printed unit series u, with no
-composition; the normal and uniform logs are their first kinds at k = 1.
+without leaving this module's route: the negative-binomial forms sum through
+the integer tables T and V of `_nb_connection`, built by their own
+recurrence, and the gamma second kind's inner sum is a finite difference
+that vanishes below the diagonal.  The negative-binomial, binomial, normal
+and uniform second kinds and the negative-binomial and binomial first
+kinds sum their terms as integers over the lcm of their denominators.
+Seven logs are log_lam(u) = (u - 1).log1p(lam) of a printed unit series u,
+with no composition; the normal and uniform logs are their first kinds at
+k = 1.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .randomvars import RandomVar
 from .series import Scalar, Series, _rat, memo
 from .special import (
     binom,
-    deg_log,
     falling_factorial,
     frobenius_euler,
     bernoulli_pade_a2,
     triangle,
 )
 
-__all__ = ["CLOSED_FORM_KINDS", "NumericResult", "closed_form", "uniform_first_kind"]
+__all__ = ["CLOSED_FORM_KINDS", "closed_form", "uniform_first_kind"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -61,32 +54,12 @@ CLOSED_FORM_KINDS = (
 )
 
 
-# movement of the partial sums over five depth steps below this (relative)
-# level implies a remaining tail far inside the 1e-9 comparison tolerance
-# for the geometric-rate sums handled here
-_STABILIZATION_RTOL = 1e-11
-
-
-@dataclass(frozen=True)
 class NumericResult:
-    """Truncated evaluation of a printed infinite-sum formula.
+    """Returned by no closed form: every one is an exact `Fraction`.
 
-    `stabilized` reports whether the partial sums moved by less than one part
-    in 1e12 over the last five depth steps; an unstabilized value should be
-    treated as inconclusive rather than wrong.
+    Kept only because the benchmark harness's tracer (`perfbench/tracer.py`)
+    reads this name to count non-exact closed-form results.
     """
-
-    value: float
-    depth: int
-    stabilized: bool
-
-    @classmethod
-    def from_partials(cls, full: Fraction | float, short: Fraction | float,
-                      depth: int) -> "NumericResult":
-        """Result for partial sums at `depth` (full) and `depth - 5` (short)."""
-        full, short = float(full), float(short)
-        stabilized = abs(full - short) <= _STABILIZATION_RTOL * max(1.0, abs(full))
-        return cls(full, depth, stabilized)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +78,7 @@ def _tab(family: str, lam: Fraction, need: int):
 def _over_lcm(nums: list, dens: list) -> Fraction:
     """sum(a / b for a, b in zip(nums, dens)) for integers a, b: each term
     scaled to the lcm of the denominators, one `Fraction`."""
-    d = math.lcm(*dens)
+    d = lcm(*dens)
     return Fraction(sum([a * (d // b) for a, b in zip(nums, dens)]), d)
 
 
@@ -113,7 +86,7 @@ def _over_lcm(nums: list, dens: list) -> Fraction:
 # Second-kind closed forms
 # ---------------------------------------------------------------------------
 
-def _s2_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
+def _s2_value(rv: RandomVar, lam: Fraction, n: int, k: int) -> Fraction:
     kind = rv.kind
     if kind == "bernoulli":
         return rv.param("p") ** k * _tab("s2", lam, n).value(n, k)
@@ -190,7 +163,7 @@ def _s2_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
                             * lam.denominator ** (n - m) * s2v.denominator * s1v.denominator)
         return _over_lcm(nums, dens)
     if kind == "negbinomial":
-        return _nb_s2(rv.param("p"), int(rv.param("r")), lam, n, k, depth)
+        return _nb_s2(rv.param("p"), int(rv.param("r")), lam, n, k)
     if kind == "uniform01":
         s2c, s1c = _tab("s2", _ZERO, 2 * n), _tab("s1", _ZERO, n)
         nums, dens = [], []
@@ -214,7 +187,7 @@ def _s2_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
 # First-kind closed forms
 # ---------------------------------------------------------------------------
 
-def _s1_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
+def _s1_value(rv: RandomVar, lam: Fraction, n: int, k: int) -> Fraction:
     kind = rv.kind
     if kind == "bernoulli":
         return rv.param("p") ** (-n) * _tab("s1", lam, n).value(n, k)
@@ -269,7 +242,7 @@ def _s1_value(rv: RandomVar, lam: Fraction, n: int, k: int, depth: int):
             raise ValueError("the printed normal first-kind formula needs lam != 0")
         return _normal_s1(rv.param("mu"), rv.param("sigma2"), lam, n, k)
     if kind == "negbinomial":
-        return _nb_s1(rv.param("p"), int(rv.param("r")), lam, n, k, depth)
+        return _nb_s1(rv.param("p"), int(rv.param("r")), lam, n, k)
     if kind == "uniform01":
         return uniform_first_kind(lam, n, k)
     raise ValueError(f"no first-kind closed form for {kind!r}")
@@ -308,11 +281,11 @@ def _log_series(rv: RandomVar, lam: Fraction, order: int) -> Series:
     raise ValueError(f"no exact log pipeline for {kind!r}")
 
 
-def _log_value(rv: RandomVar, lam: Fraction, n: int, depth: int) -> Fraction:
+def _log_value(rv: RandomVar, lam: Fraction, n: int) -> Fraction:
     if n == 0:
         return _ZERO
     if rv.kind in ("normal", "uniform01"):  # log_lam coefficients = first kind at k = 1
-        return _s1_value(rv, lam, n, 1, depth)
+        return _s1_value(rv, lam, n, 1)
     order = max(8, ((n + 7) // 8) * 8)
     return _log_series(rv, lam, order).egf(n)
 
@@ -380,133 +353,56 @@ def _normal_s1(mu: Fraction, sigma2: Fraction, lam: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# Negative binomial: genuinely infinite, partial sums at depth - 5 and depth
+# Negative binomial: printed as infinite sums, finite at the evaluation point
 # ---------------------------------------------------------------------------
 
 @memo
-def _nb_connection(r: int, depth: int) -> tuple:
-    """Rows j = 0..depth of the integers T(j, l) with (-r y)_j = sum_l T(j, l) (y)_l.
+def _nb_connection(c: int, d: int, nmax: int) -> tuple:
+    """Rows n = 0..nmax of the integers C(n, l) with
+    prod_{j<n} (c y - d j) = sum_l C(n, l) (y)_l, built by
+    C(n, l) = c C(n-1, l-1) + (c l - d (n-1)) C(n-1, l), from
+    (y)_l (c y - d (n-1)) = c (y)_{l+1} + (c l - d (n-1)) (y)_l.
 
-    T(j, l) = sum_m (-r)^m s1(j, m) S2(m, l), built without either table by
-    T(j, l) = -r T(j-1, l-1) - (r l + j - 1) T(j-1, l), from
-    (y)_l (-r y - (j-1)) = -r (y)_{l+1} - (r l + j - 1) (y)_l.
+    (c, d) = (-r, 1) gives T, (-r y)_n = sum_l T(n, l) (y)_l, the sum
+    T(n, l) = sum_m (-r)^m s1(n, m) S2(m, l) of the printed second kind;
+    (c, d) = (-1, r) gives V, prod_{j<n} (-y - j r) = sum_l V(n, l) (y)_l.
     """
     rows = [(1,)]
-    for j in range(1, depth + 1):
+    for n in range(1, nmax + 1):
         prev = rows[-1]
-        row = [0] * (j + 1)
-        for l in range(j + 1):
+        row = [0] * (n + 1)
+        for l in range(n + 1):
             above_left = prev[l - 1] if l else 0
-            above = prev[l] if l < j else 0
-            row[l] = -r * above_left - (r * l + j - 1) * above
+            above = prev[l] if l < n else 0
+            row[l] = c * above_left + (c * l - d * (n - 1)) * above
         rows.append(tuple(row))
     return tuple(rows)
 
 
-# The second kind sums (p-1)^j a_k(j)/j! (j)_{n,lam} over j: the weights
-# depend on (p, r, k) and the falling-factorial column on (n, lam) only, so
-# each is built once per depth and shared by every entry that needs it.
-@memo
-def _nb_s2_weights(p: Fraction, r: int, k: int, depth: int) -> tuple:
-    """(p-1)^j a_k(j) / j! for j = 0..depth, where the printed
-    a_k(j) = sum_m (-r)^m s1(j, m) sum_l (p^r - 1)^(k-l) p^(r l) S2(m, l) / (k-l)!
-    is summed over m first: a_k(j) = sum_{l <= min(j, k)} T(j, l) c_l, with
-    T the connection table of `_nb_connection` and
-    c_l = (p^r - 1)^(k-l) p^(r l) / (k-l)!."""
-    c = [(p**r - 1) ** (k - l) * p ** (r * l) / factorial(k - l) for l in range(k + 1)]
-    weights = []
-    for j, row in enumerate(_nb_connection(r, depth)):
-        a = sum((row[l] * c[l] for l in range(min(j, k) + 1)), _ZERO)
-        weights.append((p - 1) ** j * a / factorial(j))
-    return tuple(weights)
+def _nb_s2(p: Fraction, r: int, lam: Fraction, n: int, k: int) -> Fraction:
+    """sum_{i=k..n} S2_lam(n, i) (1/q)^i T(i, k), q = p/(p-1): the printed
+    double sum, whose generating function has argument exactly 1 here."""
+    pn, pd = p.numerator, p.denominator  # 1/q = (pn - pd) / pn
+    s2l, conn = _tab("s2", lam, n), _nb_connection(-r, 1, _bucket(n))
+    nums, dens = [], []
+    for i in range(k, n + 1):
+        s2v = s2l.value(n, i)
+        nums.append(s2v.numerator * (pn - pd) ** i * conn[i][k])
+        dens.append(s2v.denominator * pn**i)
+    return _over_lcm(nums, dens)
 
 
-@memo
-def _falling_column(n: int, lam: Fraction, depth: int) -> tuple:
-    """(j)_{n,lam} for j = 0..depth, one factor (j - (n-1) lam) on the column for n - 1."""
-    if n == 0:
-        return (_ONE,) * (depth + 1)
-    shift = (n - 1) * lam
-    return tuple(f * (j - shift) for j, f in enumerate(_falling_column(n - 1, lam, depth)))
-
-
-def _partial_sums(a: tuple, b: tuple, depth: int) -> tuple:
-    """sum_j a_j b_j over j <= depth and over j <= depth - 5, both exact,
-    as integer dot products over one common denominator per sequence."""
-    a, b = a[: depth + 1], b[: depth + 1]
-    da = math.lcm(*(x.denominator for x in a))
-    db = math.lcm(*(x.denominator for x in b))
-    products = [
-        x.numerator * (da // x.denominator) * y.numerator * (db // y.denominator)
-        for x, y in zip(a, b)
-    ]
-    short = sum(products[: depth - 4])
-    total = short + sum(products[depth - 4:])
-    return Fraction(total, da * db), Fraction(short, da * db)
-
-
-def _nb_s2(p: Fraction, r: int, lam: Fraction,
-           n: int, k: int, depth: int) -> NumericResult:
-    """Exact partial sums to depth and to depth - 5, in one pass."""
-    total, short = _partial_sums(
-        _nb_s2_weights(p, r, k, depth), _falling_column(n, lam, depth), depth
-    )
-    return NumericResult.from_partials(total, short, depth)
-
-
-@memo
-def _deg_log_power(lam: Fraction, nmax: int, l: int) -> Series:
-    """deg_log(lam)**l to order nmax, built from the (l-1)-th power."""
-    if l == 0:
-        return Series.one(nmax)
-    if l == 1:
-        return deg_log(lam, nmax)
-    return _deg_log_power(lam, nmax, l - 1) * _deg_log_power(lam, nmax, 1)
-
-
-@memo
-def _deg_s1_column(lam: Fraction, nmax: int, l: int) -> tuple:
-    """m! [t^m] deg_log(lam)**l / l! for m = 0..nmax: column l of the
-    degenerate first kind, read once from the power table for every n."""
-    power, lf = _deg_log_power(lam, nmax, l), factorial(l)
-    return tuple(power.egf(m) / lf for m in range(nmax + 1))
-
-
-@memo
-def _nb_s1_signed(p: Fraction, r: int, n: int, depth: int) -> tuple:
-    """(-p)^m (-m/r)_n / m! for m = 0..depth, shared by every lam."""
-    return tuple(
-        (-p) ** m * falling_factorial(Fraction(-m, r), n, 1) / factorial(m)
-        for m in range(depth + 1)
-    )
-
-
-@memo
-def _nb_s1_inners(p: Fraction, r: int, lam: Fraction, n: int, depth: int) -> tuple:
-    """For l = 0..n, the exact inner sums over m to depth and to depth - 5
-    (column l is 0 above row l, so every sum may start at m = 0)."""
-    nmax = _bucket(depth)  # one power table for nearby depths
-    signed = _nb_s1_signed(p, r, n, depth)
-    return tuple(
-        _partial_sums(signed, _deg_s1_column(lam, nmax, l), depth) for l in range(n + 1)
-    )
-
-
-def _nb_s1(p: Fraction, r: int, lam: Fraction,
-           n: int, k: int, depth: int) -> NumericResult:
-    # The scale factors (1/(1-p))**(lam l) and log_lam(1/(1-p))**(k-l) are
-    # irrational for fractional lam, so these partial sums are floats.
-    q = 1 / (1 - p)
-    qf, lamf = float(q), float(lam)
-    log_lam_q = math.log(qf) if lam == 0 else (qf**lamf - 1.0) / lamf
-    inners = _nb_s1_inners(p, r, lam, n, depth)
-    total = short = 0.0
-    for l in range(k + 1):
-        scale = qf ** (lamf * l) * log_lam_q ** (k - l) / factorial(k - l)
-        inner, inner_short = inners[l]
-        total += float(inner) * scale
-        short += float(inner_short) * scale
-    return NumericResult.from_partials(total, short, depth)
+def _nb_s1(p: Fraction, r: int, lam: Fraction, n: int, k: int) -> Fraction:
+    """r^(-n) sum_{i=k..n} V(n, i) q^i s1_lam(i, k), q = p/(p-1): the printed
+    sum, whose irrational scale factors cancel at the evaluation point."""
+    pn, pd = p.numerator, p.denominator  # q = -pn / (pd - pn)
+    s1l, conn = _tab("s1", lam, n), _nb_connection(-1, r, _bucket(n))
+    nums, dens = [], []
+    for i in range(k, n + 1):
+        s1v = s1l.value(i, k)
+        nums.append(conn[n][i] * (-pn) ** i * s1v.numerator)
+        dens.append((pd - pn) ** i * s1v.denominator * r**n)
+    return _over_lcm(nums, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -570,29 +466,25 @@ def uniform_first_kind(lam: Scalar, n: int, k: int) -> Fraction:
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-def closed_form(rv: RandomVar, lam: Scalar, family: str, n: int, k: int = 0,
-                depth: int = 60):
+def closed_form(rv: RandomVar, lam: Scalar, family: str, n: int,
+                k: int = 0) -> Fraction:
     """Evaluate the printed closed form for one triangle entry or log coefficient.
 
     family "s2" / "s1": value at (n, k).  family "log": EGF coefficient at n
-    (k is ignored).  Finite formulas return an exact Fraction; the
-    negative-binomial first and second kinds, whose auxiliary sum is
-    infinite, return a :class:`NumericResult` truncated at `depth`.  `depth`
-    must be >= 10 for every distribution, whether or not it is used.
+    (k is ignored).  Every formula, for all nine distributions, gives an
+    exact Fraction.
     """
     lam = _rat(lam)
-    if depth < 10:
-        raise ValueError("truncation depth must be >= 10")
     if rv.kind not in CLOSED_FORM_KINDS:
         raise ValueError(f"no closed forms for {rv.kind!r} (named distributions only)")
     if n < 0:
         raise ValueError("n must be >= 0")
     if family == "log":
-        return _log_value(rv, lam, n, depth)
+        return _log_value(rv, lam, n)
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     if family == "s2":
-        return _s2_value(rv, lam, n, k, depth)
+        return _s2_value(rv, lam, n, k)
     if family == "s1":
-        return _s1_value(rv, lam, n, k, depth)
+        return _s1_value(rv, lam, n, k)
     raise ValueError(f"unknown closed-form family {family!r}")

@@ -239,7 +239,8 @@ class Series:
 
     def egf(self, n: int) -> Fraction:
         """EGF coefficient a_n = n! * c_n."""
-        return self.coeff(n) * factorial(n)
+        c = self.coeff(n)
+        return Fraction(c.numerator * factorial(n), c.denominator)
 
     def _check_order(self, other: "Series") -> None:
         if self.order != other.order:

@@ -11,11 +11,8 @@ Three layers live here:
   semantics statistically.  Samplers are built from PCG64 uniform draws
   only, so results are reproducible bit for bit for a fixed seed.
 
-Exact identities are compared rationally, and so are the closed forms of
-every distribution except the negative binomial.  Its two truncated numeric
-closed forms (first and second kind) are compared within 1e-9 relative
-tolerance and report "inconclusive" (never "fail") when their partial sums
-have not stabilized at the configured depth.
+Every identity and every distribution's closed forms are compared
+rationally, with ==: a record either passes or fails.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .closedforms import CLOSED_FORM_KINDS, NumericResult, closed_form
+from .closedforms import CLOSED_FORM_KINDS, closed_form
 from .prob import (
     bernoulli_from_mgf,
     mgf_deg,
@@ -61,7 +58,6 @@ __all__ = [
     "MCEstimate",
     "DEFAULT_GAMMAS",
     "DEFAULT_LAMBDA_GRID",
-    "NUMERIC_TOLERANCE",
     "MAX_SAMPLES",
     "stirling1_oracle",
     "stirling2_oracle",
@@ -86,7 +82,6 @@ DEFAULT_GAMMAS = tuple(range(-3, 5))
 DEFAULT_LAMBDA_GRID = (
     Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(2),
 )
-NUMERIC_TOLERANCE = 1e-9
 MAX_SAMPLES = 10_000_000  # mc_check allocates about 100 MB per 10**6 gamma samples
 
 
@@ -100,7 +95,7 @@ class IdentityRecord:
     rv: str
     lam: str
     nmax: int
-    status: str                      # pass | fail | inconclusive
+    status: str                      # pass | fail
     first_failure: Optional[tuple] = None
     lhs: Optional[str] = None
     rhs: Optional[str] = None
@@ -133,9 +128,6 @@ class VerificationReport:
 
     def failures(self) -> list:
         return [r for r in self.records if r.status == "fail"]
-
-    def inconclusive(self) -> list:
-        return [r for r in self.records if r.status == "inconclusive"]
 
     def extend(self, other: "VerificationReport") -> None:
         self.records.extend(other.records)
@@ -322,33 +314,13 @@ def sum_power_moment(rv: RandomVar, j: int, n: int) -> Fraction:
 
 def _record(identity: str, rv_desc: str, lam: Fraction, nmax: int,
             pairs: Iterable[tuple]) -> IdentityRecord:
-    """Compare each (index, lhs, rhs): exactly, or within NUMERIC_TOLERANCE
-    when rhs is a NumericResult, whose unstabilized values are inconclusive."""
-    first_inconclusive = None
+    """Compare each (index, lhs, rhs) exactly; the first unequal pair fails."""
     for index, lhs, rhs in pairs:
-        if isinstance(rhs, NumericResult):
-            e = float(lhs)
-            if not rhs.stabilized:
-                if first_inconclusive is None:
-                    first_inconclusive = tuple(index), e, rhs.value
-                continue
-            if abs(rhs.value - e) <= NUMERIC_TOLERANCE * max(1.0, abs(e)):
-                continue
-            lhs_text, rhs_text = format(e, ".12g"), format(rhs.value, ".12g")
-        elif lhs == rhs:
-            continue
-        else:
-            lhs_text, rhs_text = str(lhs), str(rhs)
-        return IdentityRecord(
-            identity, rv_desc, str(lam), nmax, "fail",
-            first_failure=tuple(index), lhs=lhs_text, rhs=rhs_text,
-        )
-    if first_inconclusive is not None:
-        index, e, value = first_inconclusive
-        return IdentityRecord(
-            identity, rv_desc, str(lam), nmax, "inconclusive",
-            first_failure=index, lhs=format(e, ".12g"), rhs=format(value, ".12g"),
-        )
+        if lhs != rhs:
+            return IdentityRecord(
+                identity, rv_desc, str(lam), nmax, "fail",
+                first_failure=tuple(index), lhs=str(lhs), rhs=str(rhs),
+            )
     return IdentityRecord(identity, rv_desc, str(lam), nmax, "pass")
 
 
@@ -555,13 +527,14 @@ def _double_sum_weights(gamma: int, n: int) -> tuple:
 
 def identity_suite(rv: RandomVar, lam, nmax: int,
                    gammas: Sequence[int] = DEFAULT_GAMMAS,
-                   depth: int = 60) -> VerificationReport:
+                   *, depth: object = None) -> VerificationReport:
     """Run every supported identity for one (rv, lam) configuration.
 
     `nmax` must be >= 1.  `gammas` must be integers (poles are skipped where
     an identity excludes them): a non-integer rational raises ValueError, a
-    float TypeError.  `depth` (>= 10) truncates the negative-binomial closed
-    forms.
+    float TypeError.  `depth` is accepted and ignored: every closed form is
+    exact.  It is kept only because the benchmark harness
+    (`perfbench/workloads.py`) still passes it.
 
     The records that involve no random variable (the deterministic bridges,
     the triangle connections and the binomial-sum identities) are evaluated
@@ -571,8 +544,6 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
     lam = _rat(lam)
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    if depth < 10:
-        raise ValueError("truncation depth must be >= 10")
     mean = rv.mean()
     if mean == 0:
         raise ValueError(f"identity suite requires E[Y] != 0, got {rv.describe()}")
@@ -798,16 +769,14 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
         replace(record, rv=desc) for record in _lam_only_records(lam, nmax)
     )
 
-    # distribution-specific closed forms: exact for every named distribution
-    # but the negative binomial, whose depth-truncated triangles compare
-    # numerically (its log closed form is exact too)
+    # distribution-specific closed forms, exact for every named distribution
     if rv.kind in CLOSED_FORM_KINDS:
         ncap = min(nmax, 10)
 
         def s2_closed():
             for n in range(ncap + 1):
                 for k in range(n + 1):
-                    yield (n, k), t2big.value(n, k), closed_form(rv, lam, "s2", n, k, depth)
+                    yield (n, k), t2big.value(n, k), closed_form(rv, lam, "s2", n, k)
 
         rec(_record("closed-form-s2", desc, lam, nmax, s2_closed()))
 
@@ -816,13 +785,13 @@ def identity_suite(rv: RandomVar, lam, nmax: int,
             def s1_closed():
                 for n in range(ncap + 1):
                     for k in range(n + 1):
-                        yield (n, k), t1.value(n, k), closed_form(rv, lam, "s1", n, k, depth)
+                        yield (n, k), t1.value(n, k), closed_form(rv, lam, "s1", n, k)
 
             rec(_record("closed-form-s1", desc, lam, nmax, s1_closed()))
 
             def log_closed():
                 for n in range(1, ncap + 1):
-                    yield (n,), log_series.egf(n), closed_form(rv, lam, "log", n, 0, depth)
+                    yield (n,), log_series.egf(n), closed_form(rv, lam, "log", n)
 
             rec(_record("closed-form-log", desc, lam, nmax, log_closed()))
 

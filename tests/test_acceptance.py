@@ -1,11 +1,8 @@
 """Acceptance criteria for the whole package, one test per criterion.
 
 Each criterion prints a single PASS/FAIL line (written straight to the
-terminal so it survives pytest capture).  Exact identities, and every
-closed form but the negative binomial's, are asserted with rational
-equality; the truncated negative-binomial closed forms use 1e-9 relative
-tolerance at depth >= 60, with "inconclusive" reserved for unstabilized
-partial sums.
+terminal so it survives pytest capture).  Exact identities and every
+distribution's closed forms are asserted with rational equality.
 """
 
 import dataclasses
@@ -37,7 +34,6 @@ from probstirling.verify import (
 GRID_LAMBDAS = (F(0), F(1, 2), F(-1, 3))
 GRID_RVS = builtin_random_vars()
 CONFIGS = [(rv, lam) for rv in GRID_RVS for lam in GRID_LAMBDAS]
-CLOSED_FORM_DEPTH = 150
 
 
 def announce(line: str) -> None:
@@ -51,31 +47,21 @@ def suite_reports():
     """Full identity suite for every (distribution, lambda) configuration."""
     reports = {}
     for rv, lam in CONFIGS:
-        reports[(rv, lam)] = identity_suite(
-            rv, lam, nmax=10, gammas=DEFAULT_GAMMAS, depth=CLOSED_FORM_DEPTH
-        )
+        reports[(rv, lam)] = identity_suite(rv, lam, nmax=10, gammas=DEFAULT_GAMMAS)
     return reports
 
 
 def _assert_records(reports, identities, criterion):
     failures = []
-    inconclusive = []
     for (rv, lam), report in reports.items():
         for record in report.records:
-            if record.identity not in identities:
-                continue
-            if record.status == "fail":
+            if record.identity in identities and record.status != "pass":
                 failures.append(
                     (rv.describe(), str(lam), record.identity,
                      record.first_failure, record.lhs, record.rhs)
                 )
-            elif record.status == "inconclusive":
-                inconclusive.append((rv.describe(), str(lam), record.identity))
-    status = "FAIL" if failures else "PASS"
-    extra = f", inconclusive={len(inconclusive)}" if inconclusive else ""
-    announce(f"{status}: {criterion}{extra}")
+    announce(f"{'FAIL' if failures else 'PASS'}: {criterion}")
     assert not failures, failures
-    return inconclusive
 
 
 def test_orthogonality_grid():
@@ -153,10 +139,8 @@ def test_gamma_family_identities(suite_reports):
 
 
 def test_distribution_closed_forms(suite_reports):
-    """Printed per-distribution formulas: exactly, except the truncated
-    negative-binomial triangles, within 1e-9 relative at depth >= 60 (or
-    reported inconclusive)."""
-    inconclusive = _assert_records(
+    """Printed per-distribution formulas, exactly for all nine distributions."""
+    _assert_records(
         suite_reports,
         {
             "closed-form-s2",
@@ -164,10 +148,8 @@ def test_distribution_closed_forms(suite_reports):
             "closed-form-log",
             "uniform-divided-power-lemma",
         },
-        f"distribution closed forms (depth {CLOSED_FORM_DEPTH})",
+        "distribution closed forms",
     )
-    # at this depth every supported sum stabilizes; surface any that did not
-    assert inconclusive == [], inconclusive
 
 
 def test_lagrange_oracle_and_order_bridges():

@@ -313,7 +313,6 @@ def test_verify_nmax_below_one_is_domain_error(capsys, nmax):
 def test_verify_all_builtin_report_shape(capsys):
     code, out, _ = run(
         capsys, "verify", "--all-builtin", "--lambda", "1/2", "--nmax", "3",
-        "--depth", "60",
     )
     assert code == 0
     payload = json.loads(out)
@@ -328,7 +327,7 @@ def test_verify_lambda_half_output_is_pinned(capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c750eb9d50cfae8e62c2667bc00b3766936c17faba9cfe584c701197727d58af"
+        "d85797cd3b85a1208fddf12237367b1dfb532c82814e27fb59090cbf7f4cc3d5"
     )
 
 

@@ -1,5 +1,6 @@
 """Printed distribution formulas against the reversion-based engine."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from functools import cache
 from math import factorial
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from probstirling import closedforms
 from probstirling.cli import main
-from probstirling.closedforms import NumericResult, closed_form, uniform_first_kind
+from probstirling.closedforms import CLOSED_FORM_KINDS, closed_form, uniform_first_kind
 from probstirling.prob import prob_log, prob_triangle
-from probstirling.randomvars import RandomVar
+from probstirling.randomvars import RandomVar, builtin_random_vars
 from probstirling.special import binom, falling_factorial, triangle
 from probstirling.verify import (
     identity_suite,
@@ -32,14 +33,6 @@ FINITE_BOTH = [
     RandomVar.geometric(F(1, 3)),
     RandomVar.uniform01(),
 ]
-
-
-def assert_close(result, exact, tol=1e-9):
-    __tracebackhide__ = True
-    assert isinstance(result, NumericResult)
-    assert result.stabilized, f"partial sums not stabilized at depth {result.depth}"
-    e = float(exact)
-    assert abs(result.value - e) <= tol * max(1.0, abs(e)), (result.value, e)
 
 
 @pytest.mark.parametrize("rv", FINITE_BOTH, ids=lambda r: r.kind)
@@ -62,7 +55,7 @@ def test_gamma_split():
     for n in range(NMAX + 1):
         for k in range(n + 1):
             assert closed_form(rv, LAM, "s2", n, k) == t2.value(n, k)
-            assert closed_form(rv, LAM, "s1", n, k, depth=50) == t1.value(n, k)
+            assert closed_form(rv, LAM, "s1", n, k) == t1.value(n, k)
         assert closed_form(rv, LAM, "log", n) == log.egf(n)
 
 
@@ -74,9 +67,9 @@ def test_normal_split():
     for n in range(6):
         for k in range(n + 1):
             assert closed_form(rv, LAM, "s2", n, k) == t2.value(n, k)
-            assert closed_form(rv, LAM, "s1", n, k, depth=50) == t1.value(n, k)
+            assert closed_form(rv, LAM, "s1", n, k) == t1.value(n, k)
         if n:
-            assert closed_form(rv, LAM, "log", n, depth=50) == log.egf(n)
+            assert closed_form(rv, LAM, "log", n) == log.egf(n)
 
 
 @pytest.mark.parametrize(
@@ -86,14 +79,16 @@ def test_normal_split():
     ids=lambda r: r.describe(),
 )
 def test_gamma_normal_forms_are_exact_and_depth_free(rv):
-    # their printed auxiliary sums vanish past index n, so no depth matters
+    # their printed auxiliary sums vanish past index n, so they are summed to
+    # n and take no truncation depth
     for lam in (F(1, 2), F(-1, 3)):
+        t1, log = prob_triangle(rv, lam, "s1", 10), prob_log(rv, lam, 10)
         for n in range(11):
-            entries = [("s1", k) for k in range(n + 1)] + ([("log", 0)] if n else [])
-            for family, k in entries:
-                shallow = closed_form(rv, lam, family, n, k, depth=10)
-                assert isinstance(shallow, F)
-                assert shallow == closed_form(rv, lam, family, n, k, depth=150)
+            for k in range(n + 1):
+                value = closed_form(rv, lam, "s1", n, k)
+                assert type(value) is F and value == t1.value(n, k), (lam, n, k)
+            if n:
+                assert closed_form(rv, lam, "log", n) == log.egf(n), (lam, n)
 
 
 def test_normal_printed_formulas_need_nonzero_lam():
@@ -111,37 +106,51 @@ def test_negbinomial_split():
     log = prob_log(rv, LAM, 4)
     for n in range(5):
         for k in range(n + 1):
-            assert_close(closed_form(rv, LAM, "s2", n, k, depth=100), t2.value(n, k))
-            assert_close(closed_form(rv, LAM, "s1", n, k, depth=100), t1.value(n, k))
+            assert closed_form(rv, LAM, "s2", n, k) == t2.value(n, k)
+            assert closed_form(rv, LAM, "s1", n, k) == t1.value(n, k)
         assert closed_form(rv, LAM, "log", n) == log.egf(n)
 
 
-# (family, n, k, depth) -> (float.hex of the value, stabilized), recorded from
-# the two-pass evaluation the one-pass partial sums replaced
-NB_PINS = {
-    RandomVar.negbinomial(2, F(1, 2)): {
-        (F(1, 2), "s2", 4, 1, 12): ("0x1.48f0680000000p+7", False),
-        (F(1, 2), "s1", 5, 2, 12): ("-0x1.7a8f4adff7189p+5", False),
-        (F(1, 2), "s2", 4, 2, 60): ("0x1.9affffffb86f1p+8", False),
-        (F(1, 2), "s1", 5, 2, 60): ("-0x1.7e07fffffffeep+5", True),
-        (F(0), "s1", 6, 3, 100): ("-0x1.4eb0000000000p+7", True),
-        (F(-1, 3), "s1", 8, 4, 60): ("0x1.6a58c68251078p+12", False),
-    },
-    RandomVar.negbinomial(3, F(2, 5)): {
-        (F(1, 2), "s2", 7, 3, 100): ("0x1.4a776ae31bc05p+26", False),
-        (F(-1, 3), "s1", 7, 2, 60): ("-0x1.ba6c17800f25ep+8", True),
-    },
-}
+_lam = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+_open_unit = st.fractions(min_value=0, max_value=1, max_denominator=9).filter(
+    lambda p: 0 < p < 1
+)
 
 
-@pytest.mark.parametrize("rv", list(NB_PINS), ids=lambda r: r.describe())
-def test_negbinomial_partial_sums_are_pinned(rv):
-    for (lam, family, n, k, depth), (hex_value, stabilized) in NB_PINS[rv].items():
-        result = closed_form(rv, lam, family, n, k, depth)
-        assert result == NumericResult(float.fromhex(hex_value), depth, stabilized)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), _open_unit, st.one_of(st.just(F(0)), _lam),
+       st.integers(0, 8))
+def test_negbinomial_closed_forms_are_exactly_the_engine(r, p, lam, nmax):
+    rv = RandomVar.negbinomial(r, p)
+    for family in ("s2", "s1"):
+        table = prob_triangle(rv, lam, family, nmax)
+        for n in range(nmax + 1):
+            for k in range(n + 1):
+                value = closed_form(rv, lam, family, n, k)
+                assert type(value) is F and value == table.value(n, k), (family, n, k)
 
 
-NB_REFERENCE_DEPTH = 100  # the deepest depth the reference is asked for
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+def test_every_closed_form_is_a_fraction(kind):
+    rv = next(r for r in builtin_random_vars() if r.kind == kind)
+    for lam in (F(0), F(1, 2), F(-1, 3)):
+        for n in range(6):
+            entries = [(family, k) for family in ("s2", "s1") for k in range(n + 1)]
+            for family, k in entries + [("log", 0)]:
+                if kind == "normal" and lam == 0 and family != "s2":
+                    continue  # the printed normal first kind needs lam != 0
+                assert type(closed_form(rv, lam, family, n, k)) is F, (lam, family, n, k)
+
+
+# The printed negative-binomial forms are infinite series.  Their partial
+# sums to depth 100, summed here term by term from the recurrence oracles,
+# must come within 1e-12 relative of the finite exact forms.
+
+NB_REFERENCE_DEPTH = 100
+
+
+def within_1e12(partial, exact):
+    return abs(partial - exact) <= max(1, abs(exact)) / 10**12
 
 
 @cache
@@ -162,71 +171,106 @@ def reference_nb_weight(p, r, k, j):
     return (p - 1) ** j * a / factorial(j)
 
 
-def reference_nb_s2(p, r, lam, n, k, depth):
-    """The negative-binomial second kind summed term by term, each weight
-    taken from the oracle tables and each falling factorial built in place."""
-    total = short = F(0)
-    for j in range(depth + 1):
-        total += reference_nb_weight(p, r, k, j) * falling_factorial(j, n, lam)
-        if j == depth - 5:
-            short = total
-    return NumericResult.from_partials(total, short, depth)
+def reference_nb_s2(p, r, lam, n, k):
+    """The printed second kind, sum_j (p-1)^j a_k(j)/j! (j)_{n,lam}, summed
+    exactly to depth 100, each weight from the oracle tables."""
+    return sum(
+        (reference_nb_weight(p, r, k, j) * falling_factorial(j, n, lam)
+         for j in range(NB_REFERENCE_DEPTH + 1)),
+        F(0),
+    )
 
 
+# The printed second kind converges slowly when |p - 1| is near 1: at r = 3,
+# p = 1/3 its depth-100 partial sum is off by more than 1e-8 already at
+# k = 1.  These cases take |p - 1| <= 1/3, where depth 100 is within 1e-12
+# at every n, k <= 8.
 @pytest.mark.parametrize(
-    "r, p", [(2, F(1, 2)), (3, F(1, 3))], ids=["r2-p1/2", "r3-p1/3"]
+    "r, p", [(2, F(2, 3)), (3, F(3, 4))], ids=["r2-p2/3", "r3-p3/4"]
 )
 def test_negbinomial_second_kind_matches_the_term_by_term_sum(r, p):
     rv = RandomVar.negbinomial(r, p)
     for lam in (F(0), F(1, 2), F(-1, 3)):
-        for depth in (10, 12, 60, 100):
-            for n in range(9):
-                for k in range(n + 1):
-                    assert closed_form(rv, lam, "s2", n, k, depth) == reference_nb_s2(
-                        p, r, lam, n, k, depth
-                    ), (lam, depth, n, k)
+        for n in range(9):
+            for k in range(n + 1):
+                exact = closed_form(rv, lam, "s2", n, k)
+                assert within_1e12(reference_nb_s2(p, r, lam, n, k), exact), (lam, n, k)
 
 
-def reference_nb_s1_inners(p, r, lam, n, depth):
-    """The inner sums over m of the negative-binomial first kind, term by
-    term in Fraction, with each column from the degenerate recurrence oracle."""
-    s1 = stirling1_deg_oracle(depth, lam)
-    out = []
-    for l in range(n + 1):
-        total = short = F(0)
-        for m in range(l, depth + 1):
-            signed = (-p) ** m * falling_factorial(F(-m, r), n, 1) / factorial(m)
-            total += signed * s1[m][l]
-            if m == depth - 5:
-                short = total
-        out.append((total, short))
-    return tuple(out)
+@cache
+def reference_nb_s1_inners(p, r, lam, n):
+    """The inner sums over m of the printed first kind to depth 100, term
+    by term in Fraction, with each column from the degenerate recurrence oracle."""
+    s1 = stirling1_deg_oracle(NB_REFERENCE_DEPTH, lam)
+    return tuple(
+        sum(
+            ((-p) ** m * falling_factorial(F(-m, r), n, 1) / factorial(m) * s1[m][l]
+             for m in range(l, NB_REFERENCE_DEPTH + 1)),
+            F(0),
+        )
+        for l in range(n + 1)
+    )
+
+
+def _dec(x):
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def reference_nb_s1(p, r, lam, n, k):
+    """The printed first kind, sum_l q^(lam l) log_lam(q)^(k-l)/(k-l)! times
+    the inner sums, q = 1/(1-p).  The scale factors are irrational for
+    fractional lam, so they are taken to 40 significant digits."""
+    inners = reference_nb_s1_inners(p, r, lam, n)
+    lam_d, ln_q = _dec(lam), _dec(1 / (1 - p)).ln()
+    log_lam_q = ln_q if lam == 0 else ((lam_d * ln_q).exp() - 1) / lam_d
+    return sum(
+        (_dec(inners[l]) * (lam_d * l * ln_q).exp() * log_lam_q ** (k - l)
+         / factorial(k - l) for l in range(k + 1)),
+        Decimal(0),
+    )
 
 
 @pytest.mark.parametrize(
     "r, p", [(2, F(1, 2)), (3, F(2, 5))], ids=["r2-p1/2", "r3-p2/5"]
 )
-def test_negbinomial_first_kind_inner_sums_match_the_term_by_term_sum(r, p):
-    # at depth 10, rows l > 5 start past depth - 5, so their short sums are 0
-    for lam in (F(0), F(1, 2), F(-1, 3)):
-        for depth in (10, 60):
-            for n in range(11):
-                assert closedforms._nb_s1_inners(p, r, lam, n, depth) == (
-                    reference_nb_s1_inners(p, r, lam, n, depth)
-                ), (lam, depth, n)
+def test_negbinomial_first_kind_matches_the_term_by_term_sum(r, p):
+    rv = RandomVar.negbinomial(r, p)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for lam in (F(0), F(1, 2), F(-1, 3)):
+            for n in range(9):
+                for k in range(n + 1):
+                    exact = _dec(closed_form(rv, lam, "s1", n, k))
+                    assert within_1e12(reference_nb_s1(p, r, lam, n, k), exact), (lam, n, k)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_negbinomial_connection_table_is_the_stirling_double_sum(r):
-    depth = 30
-    s1, s2 = stirling1_oracle(depth), stirling2_oracle(depth)
-    table = closedforms._nb_connection(r, depth)
-    assert len(table) == depth + 1
+    nmax = 30
+    s1, s2 = stirling1_oracle(nmax), stirling2_oracle(nmax)
+    table = closedforms._nb_connection(-r, 1, nmax)
+    assert len(table) == nmax + 1
     for j, row in enumerate(table):
         assert len(row) == j + 1
         assert all(type(t) is int for t in row)
         for l, t in enumerate(row):
             assert t == sum((-r) ** m * s1[j][m] * s2[m][l] for m in range(l, j + 1)), (j, l)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_negbinomial_first_kind_table_expands_the_product(r):
+    # V(n, l): prod_{j<n} (-y - j r) = sum_l V(n, l) (y)_l, checked at n + 1
+    # points y, which fixes each row of degree n
+    nmax = 11
+    table = closedforms._nb_connection(-1, r, nmax)
+    assert all(type(v) is int for row in table for v in row)
+    for y in range(nmax + 1):
+        products = [1]
+        for j in range(nmax):
+            products.append(products[-1] * (-y - j * r))
+        assert [
+            sum(v * falling_factorial(y, l, 1) for l, v in enumerate(row)) for row in table
+        ] == products, y
 
 
 def literal_gamma_inner(alpha, k, l):
@@ -340,13 +384,13 @@ def test_integer_closed_forms_match_their_fraction_loops(nk, lam, m, p, mu, sigm
 
 @pytest.mark.parametrize("lam", [F(0), F(1, 2), F(-1, 3)], ids=str)
 def test_negbinomial_first_kind_column_is_the_degenerate_first_kind(lam):
+    # the first kind reads s1_lam(i, k) from the bucketed 30-row table
     nmax = 30
     oracle = stirling1_deg_oracle(nmax, lam)
+    table = closedforms._tab("s1", lam, nmax)
     for l in range(9):
-        column = closedforms._deg_s1_column(lam, nmax, l)
-        assert column == tuple(
-            oracle[m][l] if l <= m else 0 for m in range(nmax + 1)
-        ), l
+        column = tuple(table.value(m, l) if l <= m else 0 for m in range(nmax + 1))
+        assert column == tuple(oracle[m][l] if l <= m else 0 for m in range(nmax + 1)), l
 
 
 @pytest.mark.parametrize(
@@ -354,23 +398,19 @@ def test_negbinomial_first_kind_column_is_the_degenerate_first_kind(lam):
     ids=lambda r: r.kind,
 )
 def test_depth_below_ten_is_rejected_for_every_distribution(rv, capsys):
+    # every closed form is exact and takes no truncation depth, so closed_form
+    # refuses the argument and the CLI treats --depth as malformed input
     if rv.kind != "pointmass":  # no closed forms to ask for
-        with pytest.raises(ValueError, match="depth"):
+        with pytest.raises(TypeError, match="depth"):
             closed_form(rv, LAM, "s2", 2, 1, depth=5)
-    with pytest.raises(ValueError, match="depth"):
-        identity_suite(rv, LAM, 2, depth=5)
+    # identity_suite still accepts depth=, for the benchmark harness, and ignores it
+    assert identity_suite(rv, LAM, 2, depth=5).to_dict() == identity_suite(rv, LAM, 2).to_dict()
     spec = {"poisson": "poisson:alpha=2", "gamma": "gamma:alpha=1/2,beta=2",
             "pointmass": "pointmass:c=1"}[rv.kind]
-    code = main(["verify", "--rv", spec, "--lambda", "1/2", "--nmax", "2", "--depth", "5"])
-    assert code == 3
-    assert "depth" in capsys.readouterr().err
-
-
-def test_unstabilized_depth_is_flagged_not_failed():
-    rv = RandomVar.negbinomial(2, F(1, 2))
-    result = closed_form(rv, LAM, "s2", 4, 1, depth=12)
-    assert isinstance(result, NumericResult)
-    assert not result.stabilized
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--rv", spec, "--lambda", "1/2", "--nmax", "2", "--depth", "5"])
+    assert exc.value.code == 2
+    assert "--depth" in capsys.readouterr().err
 
 
 def test_uniform_first_kind_closed_form():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probstirling import verify
-from probstirling.closedforms import NumericResult
 from probstirling.prob import prob_triangle, sj_moment
 from probstirling.randomvars import RandomVar
 from probstirling.series import Series, clear_caches
@@ -168,27 +167,19 @@ def test_record_outcomes():
         d = verify._record("x", "rv", F(1, 2), 3, pairs).to_dict()
         return d["status"], d["first_failure"], d["lhs"], d["rhs"]
 
-    third = float(F(1, 3))
-    # exact pairs compare with ==, a failure shows both sides with str
+    # pairs compare with ==, the first failure shows both sides with str
     assert record([((0,), F(1), F(1)), ((1, 2), F(1, 3), F(2, 7))]) == (
         "fail", [1, 2], "1/3", "2/7"
     )
-    # a stabilized NumericResult outside tolerance fails even after an
-    # unstabilized one; numeric sides show with .12g
     assert record([
-        ((0, 0), F(1, 3), NumericResult(0.5, 12, False)),
-        ((1, 0), F(2, 3), NumericResult(0.7, 12, True)),
-    ]) == ("fail", [1, 0], "0.666666666667", "0.7")
-    # unstabilized values never fail: the first one is reported
-    assert record([
-        ((0, 0), F(1, 3), NumericResult(third, 12, True)),
-        ((1, 0), F(-2, 3), NumericResult(0.5, 12, False)),
-        ((2, 1), F(5), NumericResult(6.0, 12, False)),
-    ]) == ("inconclusive", [1, 0], "-0.666666666667", "0.5")
-    assert record([
-        ((0,), F(1, 3), F(1, 3)),
-        ((0, 0), F(1, 3), NumericResult(third * (1 + 1e-10), 12, True)),
-    ]) == ("pass", None, None, None)
+        ((0, 0), F(1, 3), F(1, 2)), ((1, 0), F(2, 3), F(5, 7)),
+    ]) == ("fail", [0, 0], "1/3", "1/2")
+    # a value a hair off is a failure: there is no tolerance
+    assert record([((0,), F(1, 3), F(1, 3) + F(1, 10**30))])[0] == "fail"
+    assert record([((0,), F(1, 3), F(1, 3)), ((0, 0), F(-2), F(-2))]) == (
+        "pass", None, None, None
+    )
+    assert record([]) == ("pass", None, None, None)
 
 
 def test_identity_suite_passes_for_geometric():
